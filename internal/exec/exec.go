@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"tcq/internal/ra"
@@ -394,19 +395,22 @@ type Feed struct {
 	env       *Env
 	nodeID    int // pseudo-node id for read-step timings
 	srs       bool
-	stages    []stageSample
+	stages    []*stageSample
 	cumTuples int64
 	cumBlocks int
 }
 
-// stageSample is one stage's sample in both physical shapes: rows for
-// the tuple-at-a-time operators, and — when the relation is columnar —
-// the batch the rows were materialized from, which batch-aware
-// operators (select scan, project, merge-run key building) consume
-// directly. Both views hold the same tuples in the same order.
+// stageSample is one stage's sample. A columnar relation's stage is
+// loaded as a batch only — the shape batch-aware operators (select
+// scan, project, merge-run key building, count-only merge roots)
+// consume — and its rows are materialized on the first tuples call,
+// once: several term executors share a feed and may ask concurrently.
+// A row-backed relation's stage holds rows only. Both views hold the
+// same tuples in the same order.
 type stageSample struct {
-	rows  []tuple.Tuple
 	batch *tuple.Batch
+	once  sync.Once
+	rows  []tuple.Tuple
 }
 
 func (s *stageSample) len() int {
@@ -414,6 +418,15 @@ func (s *stageSample) len() int {
 		return s.batch.Len()
 	}
 	return len(s.rows)
+}
+
+// tuples returns the stage's rows, building them from the batch on
+// first use.
+func (s *stageSample) tuples() []tuple.Tuple {
+	if s.batch != nil {
+		s.once.Do(func() { s.rows = s.batch.Rows() })
+	}
+	return s.rows
 }
 
 // NewFeed creates the sample feed for one base relation.
@@ -446,34 +459,27 @@ func (f *Feed) loadStageCluster(blocks []int) error {
 	f.env.chargeInit(f.nodeID, OpBase)
 	clock := f.env.Clock()
 	t0 := clock.Now()
-	var ss stageSample
+	ss := &stageSample{}
 	if f.Rel.Columnar() {
-		// Columnar relations hand out block views; the stage batch is
-		// one bulk copy per block instead of one tuple materialization
-		// per tuple. Read charges and deadline semantics are identical
-		// to ReadBlockIn. Rows are materialized once, here, because
-		// several term executors share the feed concurrently.
-		b := tuple.NewBatch(f.Rel.Schema())
+		// Columnar relations append each block's rows straight into
+		// one presized stage batch; no rows are built here (see
+		// stageSample.tuples). Read charges and deadline semantics are
+		// identical to ReadBlockIn.
+		ss.batch = tuple.NewBatch(f.Rel.Schema())
+		ss.batch.Grow(len(blocks) * f.Rel.BlockingFactor())
 		for _, bi := range blocks {
-			blk, err := f.Rel.ReadBlockBatchIn(f.env.Store, bi, f.env.deadline)
-			if err != nil {
-				return err
-			}
-			if err := b.AppendBatch(blk); err != nil {
+			if err := f.Rel.ReadBlockBatchIn(f.env.Store, bi, f.env.deadline, ss.batch); err != nil {
 				return err
 			}
 		}
-		ss = stageSample{rows: b.Rows(), batch: b}
 	} else {
-		var ts []tuple.Tuple
 		for _, b := range blocks {
 			blk, err := f.Rel.ReadBlockIn(f.env.Store, b, f.env.deadline)
 			if err != nil {
 				return err
 			}
-			ts = append(ts, blk...)
+			ss.rows = append(ss.rows, blk...)
 		}
-		ss = stageSample{rows: ts}
 	}
 	f.env.record(f.nodeID, OpBase, StepRead, float64(len(blocks)), clock.Now()-t0)
 	f.stages = append(f.stages, ss)
@@ -504,18 +510,21 @@ func (f *Feed) loadStageSRS(tupleIdx []int) error {
 	// Each random tuple costs one block read; the read-step units are
 	// the tuples fetched so the cost model fits seconds-per-tuple.
 	f.env.record(f.nodeID, OpBase, StepRead, float64(len(tupleIdx)), clock.Now()-t0)
-	f.stages = append(f.stages, stageSample{rows: ts})
+	f.stages = append(f.stages, &stageSample{rows: ts})
 	f.cumTuples += int64(len(ts))
 	f.cumBlocks += len(tupleIdx) // blocks touched (no caching assumed)
 	return nil
 }
 
-// StageTuples returns the tuples loaded for a stage.
+// StageTuples returns the tuples loaded for a stage. On a columnar feed
+// the first call per stage materializes them (safe for concurrent
+// callers); consumers that need only the count or the columns should
+// use StageLen or StageBatch.
 func (f *Feed) StageTuples(stage int) ([]tuple.Tuple, error) {
 	if stage < 0 || stage >= len(f.stages) {
 		return nil, fmt.Errorf("exec: feed %s has no stage %d", f.Rel.Name(), stage)
 	}
-	return f.stages[stage].rows, nil
+	return f.stages[stage].tuples(), nil
 }
 
 // StageBatch returns the columnar view of a loaded stage, or nil when
@@ -676,6 +685,18 @@ func (n *baseNode) Advance(stage int) ([]tuple.Tuple, error) {
 	return ts, nil
 }
 
+// advanceBatch is Advance for a consumer of the columnar stage sample:
+// the same bookkeeping, but no rows are built. It returns nil, without
+// advancing, when the feed has no columnar view of the stage.
+func (n *baseNode) advanceBatch(stage int) *tuple.Batch {
+	b := n.feed.StageBatch(stage)
+	if b != nil {
+		n.stats.CumPoints += float64(b.Len())
+		n.stats.CumOut += float64(b.Len())
+	}
+	return b
+}
+
 // BaseFeedOf returns the Feed when n is a base node.
 func BaseFeedOf(n Node) (*Feed, bool) {
 	b, ok := n.(*baseNode)
@@ -704,6 +725,7 @@ type selectNode struct {
 	pred     ra.CompiledPred
 	bpred    ra.BatchPred // vectorized twin of pred; nil = scalar only
 	bits     []bool       // reusable batch-predicate output buffer
+	sel      []int32      // reusable survivor-index buffer of the batch scan
 	predSize int
 	src      ra.Expr
 	env      *Env
@@ -749,51 +771,60 @@ func (n *selectNode) CumOutTuples() int64   { return int64(n.stats.CumOut) }
 func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
 	// The vectorized scan applies when the input is a columnar base
 	// stage and the deadline is unarmed (batched polls cannot reproduce
-	// a mid-scan abort; hard-deadline queries keep the scalar loop).
+	// a mid-scan abort; hard-deadline queries keep the scalar loop). It
+	// reads the stage as a batch and builds rows for the survivors only.
 	var bb *tuple.Batch
 	if n.bpred != nil && !n.env.armedDeadline().Armed() {
 		if base, ok := n.child.(*baseNode); ok {
-			bb = base.feed.StageBatch(stage)
+			bb = base.advanceBatch(stage)
 		}
 	}
-	in, err := n.child.Advance(stage)
-	if err != nil {
-		return nil, err
+	var in []tuple.Tuple
+	if bb == nil {
+		var err error
+		if in, err = n.child.Advance(stage); err != nil {
+			return nil, err
+		}
 	}
+	nIn := sideLen(in, bb)
 	n.env.chargeInit(n.id, OpSelect)
 	clock := n.env.Clock()
 	costs := n.env.Store.Costs()
 
-	// Scan + check each input tuple (cost c1·n of eq. 4.1). Pre-size
-	// the output from the cumulative selectivity observed so far.
+	// Scan + check each input tuple (cost c1·n of eq. 4.1).
 	t0 := clock.Now()
-	hint := len(in)
-	if n.stats.CumPoints > 0 {
-		hint = int(float64(len(in))*n.stats.CumOut/n.stats.CumPoints) + 16
-		if hint > len(in) {
-			hint = len(in)
-		}
-	}
-	out := make([]tuple.Tuple, 0, hint)
+	var out []tuple.Tuple
 	if bb != nil {
 		// Predicate over column slices, then the per-tuple poll+charge
 		// accounting batched into one run (unarmed polls never fail and
 		// read no clock, so the collapsed form is observationally
 		// identical to the scalar loop).
-		if cap(n.bits) < bb.Len() {
-			n.bits = make([]bool, bb.Len())
+		if cap(n.bits) < nIn {
+			n.bits = make([]bool, nIn)
 		}
-		bits := n.bits[:bb.Len()]
+		bits := n.bits[:nIn]
 		n.bpred(bb, bits)
-		if err := n.env.pollChargeRun(bb.Len(), time.Duration(n.predSize)*costs.TupleCheck); err != nil {
+		if err := n.env.pollChargeRun(nIn, time.Duration(n.predSize)*costs.TupleCheck); err != nil {
 			return nil, err
 		}
+		sel := n.sel[:0]
 		for i, keep := range bits {
 			if keep {
-				out = append(out, in[i])
+				sel = append(sel, int32(i))
 			}
 		}
+		n.sel = sel
+		if len(sel) > 0 {
+			out = bb.RowsAt(sel)
+		}
 	} else {
+		// Pre-size the output from the cumulative selectivity observed
+		// so far.
+		hint := nIn
+		if n.stats.CumPoints > 0 {
+			hint = min(int(float64(nIn)*n.stats.CumOut/n.stats.CumPoints)+16, nIn)
+		}
+		out = make([]tuple.Tuple, 0, hint)
 		for _, t := range in {
 			if err := n.env.checkDeadline(); err != nil {
 				return nil, err
@@ -804,7 +835,7 @@ func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
 			}
 		}
 	}
-	n.env.record(n.id, OpSelect, StepScan, float64(len(in)), clock.Now()-t0)
+	n.env.record(n.id, OpSelect, StepScan, float64(nIn), clock.Now()-t0)
 
 	// Write output pages (cost C1·p of eq. 4.1).
 	t0 = clock.Now()
@@ -814,7 +845,7 @@ func (n *selectNode) Advance(stage int) ([]tuple.Tuple, error) {
 	n.out.Flush()
 	n.env.record(n.id, OpSelect, StepOutput, float64(len(out)), clock.Now()-t0)
 
-	n.stats.CumPoints += float64(len(in))
+	n.stats.CumPoints += float64(nIn)
 	n.stats.CumOut += float64(len(out))
 	return out, nil
 }
@@ -892,10 +923,12 @@ func (n *projectNode) Advance(stage int) ([]tuple.Tuple, error) {
 	// materialized as rows. Applies under the same conditions as the
 	// select fast path, plus keyed dedup (the unkeyed walk needs the
 	// materialized tuples for map keys).
-	var bb *tuple.Batch
 	if n.keyed && !n.env.armedDeadline().Armed() {
 		if base, ok := n.child.(*baseNode); ok {
-			bb = base.feed.StageBatch(stage)
+			if bb := base.advanceBatch(stage); bb != nil {
+				n.env.chargeInit(n.id, OpProject)
+				return n.advanceBatch(bb)
+			}
 		}
 	}
 	in, err := n.child.Advance(stage)
@@ -903,9 +936,6 @@ func (n *projectNode) Advance(stage int) ([]tuple.Tuple, error) {
 		return nil, err
 	}
 	n.env.chargeInit(n.id, OpProject)
-	if bb != nil {
-		return n.advanceBatch(bb)
-	}
 	clock := n.env.Clock()
 	costs := n.env.Store.Costs()
 
@@ -1084,6 +1114,9 @@ type mergeNode struct {
 	// keyed selects the normalized-byte-key fast path (merge.go); runs
 	// with Float key columns use the legacy tuple.Compare path.
 	keyed bool
+	// rowless is set once a keyed stage ran count-only: its runs hold
+	// keys but no tuples, so the node can never emit again.
+	rowless bool
 	// Fast-path state: per-stage run summaries + cumulative sorted runs.
 	lside mergeSide
 	rside mergeSide
@@ -1183,14 +1216,38 @@ func (n *mergeNode) keyCmpLR(l, r tuple.Tuple) int {
 }
 
 func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
-	newL, err := n.left.Advance(stage)
-	if err != nil {
-		return nil, err
+	out, _, err := n.advance(stage, true)
+	return out, err
+}
+
+// advanceCount evaluates one stage exactly as Advance does — same
+// charges, polls, counters and statistics — but only counts the new
+// output tuples instead of building them. It serves a term root whose
+// output is only ever counted (TermExec.Advance).
+func (n *mergeNode) advanceCount(stage int) (int, error) {
+	_, count, err := n.advance(stage, false)
+	return count, err
+}
+
+// advance evaluates one stage and returns the new output tuples and
+// their count. A keyed node builds the tuples only when emit is set,
+// and without emission builds no rows at all: columnar base inputs are
+// consumed as batches and sorted runs hold keys only.
+func (n *mergeNode) advance(stage int, emit bool) ([]tuple.Tuple, int, error) {
+	if emit && n.rowless {
+		return nil, 0, fmt.Errorf("exec: %s node evaluated count-only cannot emit tuples", n.op)
 	}
-	newR, err := n.right.Advance(stage)
+	rows := emit || !n.keyed
+	newL, lb, err := advanceInput(n.left, stage, rows)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	newR, rb, err := advanceInput(n.right, stage, rows)
+	if err != nil {
+		return nil, 0, err
+	}
+	nL, nR := sideLen(newL, lb), sideLen(newR, rb)
+	n.rowless = !rows
 	n.env.chargeInit(n.id, n.op)
 	clock := n.env.Clock()
 	costs := n.env.Store.Costs()
@@ -1199,28 +1256,27 @@ func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
 	// files are charge-only: both samples are already in memory.
 	t0 := clock.Now()
 	lTemp := n.env.NewScratchFile(n.left.Schema())
-	if err := n.env.writeRun(lTemp, len(newL)); err != nil {
-		return nil, err
+	if err := n.env.writeRun(lTemp, nL); err != nil {
+		return nil, 0, err
 	}
 	lTemp.Flush()
 	rTemp := n.env.NewScratchFile(n.right.Schema())
-	if err := n.env.writeRun(rTemp, len(newR)); err != nil {
-		return nil, err
+	if err := n.env.writeRun(rTemp, nR); err != nil {
+		return nil, 0, err
 	}
 	rTemp.Flush()
-	n.env.record(n.id, n.op, StepWrite, float64(len(newL)+len(newR)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepWrite, float64(nL+nR), clock.Now()-t0)
 	if err := n.env.checkDeadline(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Step 2: sort both temporary files (eq. 4.3).
 	t0 = clock.Now()
-	lRun, rRun, comps := n.sortNewRuns(newL, newR,
-		stageBatchOf(n.left, stage), stageBatchOf(n.right, stage))
+	lRun, rRun, comps := n.sortNewRuns(newL, newR, lb, rb, emit)
 	if err := n.env.chargeChunked(comps, costs.TupleCompare); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	n.env.record(n.id, n.op, StepSort, nLogN(len(newL))+nLogN(len(newR)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepSort, nLogN(nL)+nLogN(nR), clock.Now()-t0)
 
 	n.stages++
 
@@ -1229,46 +1285,74 @@ func (n *mergeNode) Advance(stage int) ([]tuple.Tuple, error) {
 	// against cumulative runs (merge.go); charges are identical.
 	t0 = clock.Now()
 	var out []tuple.Tuple
+	var count int
 	var mergeUnits float64
 	switch {
 	case !n.keyed:
 		out, mergeUnits, err = n.advanceLegacy(lRun.ts, rRun.ts)
+		count = len(out)
 	case n.plan == FullFulfillment:
-		out, mergeUnits, err = n.advanceCumulative(lRun, rRun)
+		out, count, mergeUnits, err = n.advanceCumulative(lRun, rRun, emit)
 	default:
 		var pc int64
-		out, pc, err = n.keyedMergeJoin(lRun, rRun)
+		out, count, pc, err = n.keyedMergeJoin(lRun, rRun, emit)
 		if err == nil {
 			err = n.env.chargeChunked(pc, costs.TupleCompare)
-			mergeUnits = float64(len(lRun.ts) + len(rRun.ts))
+			mergeUnits = float64(nL + nR)
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n.env.record(n.id, n.op, StepMerge, mergeUnits, clock.Now()-t0)
 
 	// Write output pages.
 	t0 = clock.Now()
-	if err := n.env.writeRun(n.out, len(out)); err != nil {
-		return nil, err
+	if err := n.env.writeRun(n.out, count); err != nil {
+		return nil, 0, err
 	}
 	n.out.Flush()
-	n.env.record(n.id, n.op, StepOutput, float64(len(out)), clock.Now()-t0)
+	n.env.record(n.id, n.op, StepOutput, float64(count), clock.Now()-t0)
 
 	// Point-space accounting.
 	var newPoints float64
 	if n.plan == FullFulfillment {
-		newPoints = float64(n.lcum+int64(len(newL)))*float64(n.rcum+int64(len(newR))) -
+		newPoints = float64(n.lcum+int64(nL))*float64(n.rcum+int64(nR)) -
 			float64(n.lcum)*float64(n.rcum)
 	} else {
-		newPoints = float64(len(newL)) * float64(len(newR))
+		newPoints = float64(nL) * float64(nR)
 	}
-	n.lcum += int64(len(newL))
-	n.rcum += int64(len(newR))
+	n.lcum += int64(nL)
+	n.rcum += int64(nR)
 	n.stats.CumPoints += newPoints
-	n.stats.CumOut += float64(len(out))
-	return out, nil
+	n.stats.CumOut += float64(count)
+	return out, count, nil
+}
+
+// sideLen is the size of an operator input's new sample, given as rows
+// or as a columnar batch.
+func sideLen(ts []tuple.Tuple, b *tuple.Batch) int {
+	if b != nil {
+		return b.Len()
+	}
+	return len(ts)
+}
+
+// advanceInput advances one input of a merge node a stage. Without rows
+// a columnar base input is consumed as its batch alone and no rows are
+// built; otherwise the input's rows are returned, with its columnar
+// view when it has one.
+func advanceInput(child Node, stage int, rows bool) ([]tuple.Tuple, *tuple.Batch, error) {
+	if base, ok := child.(*baseNode); ok && !rows {
+		if b := base.advanceBatch(stage); b != nil {
+			return nil, b, nil
+		}
+	}
+	ts, err := child.Advance(stage)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ts, stageBatchOf(child, stage), nil
 }
 
 // nLogN returns n·log₂(n) (0 for n <= 1), the sort-step unit measure.

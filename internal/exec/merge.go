@@ -40,7 +40,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
 
 	"tcq/internal/sortx"
 	"tcq/internal/tuple"
@@ -52,34 +51,14 @@ import (
 const mergePollInterval = 1024
 
 // sortedRun is one stage's sorted new sample; keys[i] is the normalized
-// key of ts[i] (nil on the legacy path) and pres[i] its abbreviation.
+// key of rank i (nil on the legacy path) and pres[i] its sortx.Prefix
+// abbreviation. ts holds the tuples in the same order; a keyed run
+// sorted for a count-only node has no tuples, so keyed code takes a
+// run's length from keys.
 type sortedRun struct {
 	ts   []tuple.Tuple
 	keys [][]byte
 	pres []uint64
-}
-
-// keyPrefix abbreviates a normalized key to its first eight bytes as a
-// big-endian integer, zero-padded. Zero padding is order-preserving
-// against bytes.Compare (no key byte sorts below 0x00), so unequal
-// prefixes decide the comparison and equal prefixes fall back to the
-// full keys.
-func keyPrefix(k []byte) uint64 {
-	var b [8]byte
-	copy(b[:], k)
-	return binary.BigEndian.Uint64(b[:])
-}
-
-// makePres builds the abbreviation array for a key array.
-func makePres(keys [][]byte) []uint64 {
-	if len(keys) == 0 {
-		return nil
-	}
-	pres := make([]uint64, len(keys))
-	for i, k := range keys {
-		pres[i] = keyPrefix(k)
-	}
-	return pres
 }
 
 // cmpKeys compares two normalized keys through their abbreviations.
@@ -256,10 +235,11 @@ func (s *mergeSide) addRun(r sortedRun) {
 	stage := len(s.runs)
 	s.runs = append(s.runs, r)
 	s.runGroups = append(s.runGroups, groupsOf(r.keys, r.pres))
-	if len(r.ts) == 0 {
+	n := len(r.keys)
+	if n == 0 {
 		return
 	}
-	need := len(s.cum) + len(r.ts)
+	need := len(s.cum) + n
 	out := s.spare[:0]
 	if cap(out) < need {
 		// Overallocate so the buffer survives several generations of
@@ -267,7 +247,7 @@ func (s *mergeSide) addRun(r sortedRun) {
 		out = make([]cumRef, 0, need+need/2)
 	}
 	i, j := 0, 0
-	for i < len(s.cum) && j < len(r.ts) {
+	for i < len(s.cum) && j < n {
 		c := s.cum[i]
 		if cmpKeys(s.pre(c), s.key(c), r.pres[j], r.keys[j]) <= 0 {
 			out = append(out, c)
@@ -278,7 +258,7 @@ func (s *mergeSide) addRun(r sortedRun) {
 		}
 	}
 	out = append(out, s.cum[i:]...)
-	for ; j < len(r.ts); j++ {
+	for ; j < n; j++ {
 		out = append(out, makeRef(stage, j))
 	}
 	s.spare = s.cum
@@ -308,27 +288,34 @@ func countPoll(c *int64) func() error {
 	}
 }
 
-// bucketJoin merge-joins a new run against a side's cumulative run,
-// appending emit(new, cum-element) — or emit(cum-element, new) when
-// newIsLeft is false — to buckets[stage of the cum element]. Because an
-// equal-key range of the cumulative run is ordered stage-major with
-// within-run order preserved, bucket t receives exactly the output the
-// per-pair plan's merge-join of (new × run_t) would emit, in the same
-// order: keys ascending, left-major within a key.
+// bucketJoin merge-joins a new run against a side's cumulative run and
+// returns the number of matches. When emitting, it appends emit(new,
+// cum-element) — or emit(cum-element, new) when newIsLeft is false — to
+// buckets[stage of the cum element]. Because an equal-key range of the
+// cumulative run is ordered stage-major with within-run order
+// preserved, bucket t receives exactly the output the per-pair plan's
+// merge-join of (new × run_t) would emit, in the same order: keys
+// ascending, left-major within a key.
+//
+// With a nil emit the walk only counts (a count-only root): the matches
+// of an equal-key group are its cross product, and the deadline is
+// polled at exactly the walk positions the emission loops poll at, so
+// polls, aborts and the count are those of the emitting walk.
 //
 // emit and poll are parameters so the two bucket joins of a stage can
 // run on separate goroutines: each gets its own arena-backed emitter
 // and a local poll counter (see advanceCumulative). The walk itself
 // reads only immutable run/cum state.
 func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, buckets [][]tuple.Tuple,
-	emit func(l, r tuple.Tuple) tuple.Tuple, poll func() error) error {
+	emit func(l, r tuple.Tuple) tuple.Tuple, poll func() error) (int, error) {
 	cum := side.cum
+	nn := len(nw.keys)
 	i, j := 0, 0
-	ops := 0
-	for i < len(nw.ts) && j < len(cum) {
+	ops, matches := 0, 0
+	for i < nn && j < len(cum) {
 		if ops++; ops%mergePollInterval == 0 {
 			if err := poll(); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		c := cmpKeys(nw.pres[i], nw.keys[i], side.pre(cum[j]), side.key(cum[j]))
@@ -341,33 +328,45 @@ func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, bu
 			continue
 		}
 		i2 := i + 1
-		for i2 < len(nw.ts) && eqKeys(nw.pres[i2], nw.keys[i2], nw.pres[i], nw.keys[i]) {
+		for i2 < nn && eqKeys(nw.pres[i2], nw.keys[i2], nw.pres[i], nw.keys[i]) {
 			i2++
 		}
 		j2 := j + 1
 		for j2 < len(cum) && eqKeys(side.pre(cum[j2]), side.key(cum[j2]), side.pre(cum[j]), side.key(cum[j])) {
 			j2++
 		}
-		if newIsLeft {
+		g := (i2 - i) * (j2 - j)
+		matches += g
+		switch {
+		case emit == nil:
+			// The emission loops below advance ops once per pair and
+			// poll at every multiple of the interval.
+			for p := (ops/mergePollInterval + 1) * mergePollInterval; p <= ops+g; p += mergePollInterval {
+				if err := poll(); err != nil {
+					return 0, err
+				}
+			}
+			ops += g
+		case newIsLeft:
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					if ops++; ops%mergePollInterval == 0 {
 						if err := poll(); err != nil {
-							return err
+							return 0, err
 						}
 					}
 					tg := cum[b].stage()
 					buckets[tg] = append(buckets[tg], emit(nw.ts[a], side.tup(cum[b])))
 				}
 			}
-		} else {
+		default:
 			for b := j; b < j2; b++ {
 				tg := cum[b].stage()
 				ct := side.tup(cum[b])
 				for a := i; a < i2; a++ {
 					if ops++; ops%mergePollInterval == 0 {
 						if err := poll(); err != nil {
-							return err
+							return 0, err
 						}
 					}
 					buckets[tg] = append(buckets[tg], emit(ct, nw.ts[a]))
@@ -376,7 +375,7 @@ func (n *mergeNode) bucketJoin(nw sortedRun, side *mergeSide, newIsLeft bool, bu
 		}
 		i, j = i2, j2
 	}
-	return nil
+	return matches, nil
 }
 
 // chargePair charges the simulated cost of one logical Fig. 4.5 pair
@@ -394,11 +393,12 @@ func (n *mergeNode) chargePair(lLen, rLen int, comps int64) error {
 }
 
 // advanceCumulative runs step 3 of the full-fulfillment plan over the
-// cumulative runs: two physical merge-joins, per-pair charges, and the
-// Fig. 4.5-ordered output assembly. Returns the stage output and the
-// merge step units.
-func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) ([]tuple.Tuple, float64, error) {
+// cumulative runs: two physical merge-joins, per-pair charges, and —
+// when emitting — the Fig. 4.5-ordered output assembly. Returns the
+// stage output (nil without emit), its size and the merge step units.
+func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun, emit bool) ([]tuple.Tuple, int, float64, error) {
 	s := n.stages - 1 // 0-based index of this stage
+	nL, nR := len(lRun.keys), len(rRun.keys)
 
 	// Physical work: newL × (cumR ∪ newR), then cumL_old × newR. The two
 	// joins read disjoint mutable state (buckets, emit arenas) over
@@ -408,84 +408,93 @@ func (n *mergeNode) advanceCumulative(lRun, rRun sortedRun) ([]tuple.Tuple, floa
 	// Under an armed deadline the serial walk is kept: an abort's
 	// position depends on the global poll interleaving.
 	n.rside.addRun(rRun)
-	n.bucketsA = resetBuckets(n.bucketsA, s+1)
-	n.bucketsB = resetBuckets(n.bucketsB, s)
+	var bucketsA, bucketsB [][]tuple.Tuple
+	var emitA, emitB func(l, r tuple.Tuple) tuple.Tuple
+	if emit {
+		n.bucketsA = resetBuckets(n.bucketsA, s+1)
+		n.bucketsB = resetBuckets(n.bucketsB, s)
+		bucketsA, bucketsB, emitA, emitB = n.bucketsA, n.bucketsB, n.emitA, n.emitB
+	}
+	var countA, countB int
 	if n.env.armedDeadline().Armed() {
-		if err := n.bucketJoin(lRun, &n.rside, true, n.bucketsA, n.emitA, n.env.checkDeadline); err != nil {
-			return nil, 0, err
+		var err error
+		if countA, err = n.bucketJoin(lRun, &n.rside, true, bucketsA, emitA, n.env.checkDeadline); err != nil {
+			return nil, 0, 0, err
 		}
-		if err := n.bucketJoin(rRun, &n.lside, false, n.bucketsB, n.emitB, n.env.checkDeadline); err != nil {
-			return nil, 0, err
+		if countB, err = n.bucketJoin(rRun, &n.lside, false, bucketsB, emitB, n.env.checkDeadline); err != nil {
+			return nil, 0, 0, err
 		}
 	} else {
 		var pollsA, pollsB int64
 		var errA, errB error
-		sizeA := len(lRun.ts) + len(n.rside.cum)
-		sizeB := len(rRun.ts) + len(n.lside.cum)
+		sizeA := nL + len(n.rside.cum)
+		sizeB := nR + len(n.lside.cum)
 		n.env.runPar(min(sizeA, sizeB), func() {
-			errA = n.bucketJoin(lRun, &n.rside, true, n.bucketsA, n.emitA, countPoll(&pollsA))
+			countA, errA = n.bucketJoin(lRun, &n.rside, true, bucketsA, emitA, countPoll(&pollsA))
 		}, func() {
-			errB = n.bucketJoin(rRun, &n.lside, false, n.bucketsB, n.emitB, countPoll(&pollsB))
+			countB, errB = n.bucketJoin(rRun, &n.lside, false, bucketsB, emitB, countPoll(&pollsB))
 		})
 		n.env.DeadlinePolls += pollsA + pollsB
 		if errA != nil {
-			return nil, 0, errA
+			return nil, 0, 0, errA
 		}
 		if errB != nil {
-			return nil, 0, errB
+			return nil, 0, 0, errB
 		}
 	}
 	n.lside.addRun(lRun)
 
 	// Simulated charges, in the per-pair plan's order.
-	lg := groupsOf(lRun.keys, lRun.pres)
+	lg := n.lside.runGroups[s]
 	rg := n.rside.runGroups[s]
 	var mergeUnits float64
 	for i := 0; i <= s; i++ {
-		rLen := len(n.rside.runs[i].ts)
-		if err := n.chargePair(len(lRun.ts), rLen, pairComps(lg, n.rside.runGroups[i])); err != nil {
-			return nil, 0, err
+		rLen := len(n.rside.runs[i].keys)
+		if err := n.chargePair(nL, rLen, pairComps(lg, n.rside.runGroups[i])); err != nil {
+			return nil, 0, 0, err
 		}
-		mergeUnits += float64(len(lRun.ts) + rLen)
+		mergeUnits += float64(nL + rLen)
 	}
 	for i := 0; i < s; i++ {
-		lLen := len(n.lside.runs[i].ts)
-		if err := n.chargePair(lLen, len(rRun.ts), pairComps(n.lside.runGroups[i], rg)); err != nil {
-			return nil, 0, err
+		lLen := len(n.lside.runs[i].keys)
+		if err := n.chargePair(lLen, nR, pairComps(n.lside.runGroups[i], rg)); err != nil {
+			return nil, 0, 0, err
 		}
-		mergeUnits += float64(lLen + len(rRun.ts))
+		mergeUnits += float64(lLen + nR)
+	}
+	count := countA + countB
+	if !emit {
+		return nil, count, mergeUnits, nil
 	}
 
 	// Assemble the output in pair order: A_0..A_s (newL × run_i of the
 	// right side, the new right run last), then B_0..B_{s-1}.
-	total := 0
-	for _, b := range n.bucketsA {
-		total += len(b)
-	}
-	for _, b := range n.bucketsB {
-		total += len(b)
-	}
-	out := make([]tuple.Tuple, 0, total)
+	out := make([]tuple.Tuple, 0, count)
 	for _, b := range n.bucketsA {
 		out = append(out, b...)
 	}
 	for _, b := range n.bucketsB {
 		out = append(out, b...)
 	}
-	return out, mergeUnits, nil
+	return out, count, mergeUnits, nil
 }
 
 // keyedMergeJoin is the cached-key twin of mergeJoin, used by the
 // partial-fulfillment plan's single same-stage pair. Walk, comparison
-// accounting, and deadline polling match mergeJoin exactly.
-func (n *mergeNode) keyedMergeJoin(l, r sortedRun) ([]tuple.Tuple, int64, error) {
+// accounting, and deadline polling match mergeJoin exactly. Without
+// emit it only counts the matches, polling where the emission loop
+// would. Returns the output (nil without emit), the match count and the
+// comparisons.
+func (n *mergeNode) keyedMergeJoin(l, r sortedRun, emit bool) ([]tuple.Tuple, int, int64, error) {
 	var out []tuple.Tuple
 	var comps int64
+	count := 0
+	nl, nr := len(l.keys), len(r.keys)
 	i, j := 0, 0
-	for i < len(l.ts) && j < len(r.ts) {
+	for i < nl && j < nr {
 		if (i+j)%16 == 0 {
 			if err := n.env.checkDeadline(); err != nil {
-				return nil, comps, err
+				return nil, 0, comps, err
 			}
 		}
 		comps++
@@ -497,21 +506,34 @@ func (n *mergeNode) keyedMergeJoin(l, r sortedRun) ([]tuple.Tuple, int64, error)
 			j++
 		default:
 			i2 := i + 1
-			for i2 < len(l.ts) && eqKeys(l.pres[i2], l.keys[i2], l.pres[i], l.keys[i]) {
+			for i2 < nl && eqKeys(l.pres[i2], l.keys[i2], l.pres[i], l.keys[i]) {
 				comps++
 				i2++
 			}
 			j2 := j + 1
-			for j2 < len(r.ts) && eqKeys(r.pres[j2], r.keys[j2], r.pres[j], r.keys[j]) {
+			for j2 < nr && eqKeys(r.pres[j2], r.keys[j2], r.pres[j], r.keys[j]) {
 				comps++
 				j2++
+			}
+			g := (i2 - i) * (j2 - j)
+			count += g
+			if !emit {
+				// The emission loop below polls before every
+				// mergePollInterval-th pair of the group.
+				for e := 0; e < g; e += mergePollInterval {
+					if err := n.env.checkDeadline(); err != nil {
+						return nil, 0, comps, err
+					}
+				}
+				i, j = i2, j2
+				continue
 			}
 			emitted := 0
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					if emitted%mergePollInterval == 0 {
 						if err := n.env.checkDeadline(); err != nil {
-							return nil, comps, err
+							return nil, 0, comps, err
 						}
 					}
 					emitted++
@@ -521,7 +543,7 @@ func (n *mergeNode) keyedMergeJoin(l, r sortedRun) ([]tuple.Tuple, int64, error)
 			i, j = i2, j2
 		}
 	}
-	return out, comps, nil
+	return out, count, comps, nil
 }
 
 // advanceLegacy runs step 3 as the literal per-pair plan over retained
@@ -620,27 +642,25 @@ func (n *mergeNode) mergeJoin(l, r []tuple.Tuple) ([]tuple.Tuple, int64, error) 
 	return out, comps, nil
 }
 
-// sortNewRuns sorts both sides' new samples (step 2), caching normalized
-// keys on the fast path, and returns the runs plus the comparison count
-// to charge. The two sides are independent and charge-free, so they may
-// run on two goroutines (runPar) when a sub-worker slot is free: the
-// comparison counts are deterministic functions of the inputs and are
-// charged by the caller afterwards, so scheduling cannot perturb the
-// simulation. Keys are built from the columnar stage samples lb/rb when
-// available (byte-identical to the tuple path).
-func (n *mergeNode) sortNewRuns(newL, newR []tuple.Tuple, lb, rb *tuple.Batch) (lRun, rRun sortedRun, comps int64) {
+// sortNewRuns sorts both sides' new samples (step 2), caching
+// normalized keys on the fast path, and returns the runs plus the
+// comparison count to charge. The two sides are independent and
+// charge-free, so they may run on two goroutines (runPar) when a
+// sub-worker slot is free: the comparison counts are deterministic
+// functions of the inputs and are charged by the caller afterwards, so
+// scheduling cannot perturb the simulation. Keys are built from the
+// columnar stage samples lb/rb when available (byte-identical to the
+// tuple path), and a keyed run gathers its tuples only when rows is
+// set (an emitting node).
+func (n *mergeNode) sortNewRuns(newL, newR []tuple.Tuple, lb, rb *tuple.Batch, rows bool) (lRun, rRun sortedRun, comps int64) {
 	if n.keyed {
-		var lres, rres sortx.KeyedResult
-		n.env.runPar(min(len(newL), len(newR)), func() {
-			lKeys := sideNormKeys(newL, lb, n.left.Schema(), n.lcols)
-			lres = sortx.SortKeyed(newL, lKeys, 0)
+		var lc, rc int64
+		n.env.runPar(min(sideLen(newL, lb), sideLen(newR, rb)), func() {
+			lRun, lc = keyedRun(newL, lb, n.left.Schema(), n.lcols, rows)
 		}, func() {
-			rKeys := sideNormKeys(newR, rb, n.right.Schema(), n.rcols)
-			rres = sortx.SortKeyed(newR, rKeys, 0)
+			rRun, rc = keyedRun(newR, rb, n.right.Schema(), n.rcols, rows)
 		})
-		return sortedRun{lres.Sorted, lres.Keys, makePres(lres.Keys)},
-			sortedRun{rres.Sorted, rres.Keys, makePres(rres.Keys)},
-			lres.Comparisons + rres.Comparisons
+		return lRun, rRun, lc + rc
 	}
 	var lres, rres sortx.Result
 	n.env.runPar(min(len(newL), len(newR)), func() {
@@ -656,14 +676,26 @@ func (n *mergeNode) sortNewRuns(newL, newR []tuple.Tuple, lb, rb *tuple.Batch) (
 		lres.Comparisons + rres.Comparisons
 }
 
-// sideNormKeys builds one side's normalized keys, preferring the
-// columnar stage sample when the side is a columnar base stage. The
-// keys end up retained in the side's sortedRun for the rest of the
-// query, so this deliberately uses the allocating builders — pooling
-// here would let a later stage overwrite an earlier run's keys.
-func sideNormKeys(ts []tuple.Tuple, b *tuple.Batch, s *tuple.Schema, cols []int) [][]byte {
+// keyedRun argsorts one side's new sample by its normalized keys,
+// preferring the columnar stage sample when there is one, and gathers
+// the tuples into sorted order when rows is set. The keys end up
+// retained in the side's sortedRun for the rest of the query, so this
+// deliberately uses the allocating builders — pooling here would let a
+// later stage overwrite an earlier run's keys.
+func keyedRun(ts []tuple.Tuple, b *tuple.Batch, s *tuple.Schema, cols []int, rows bool) (sortedRun, int64) {
+	var keys [][]byte
 	if b != nil {
-		return batchNormKeys(b, cols)
+		keys = batchNormKeys(b, cols)
+	} else {
+		keys = buildNormKeys(ts, s, cols)
 	}
-	return buildNormKeys(ts, s, cols)
+	res := sortx.SortKeyedIdx(keys, 0)
+	run := sortedRun{keys: res.Keys, pres: res.Pres}
+	if rows && len(res.Perm) > 0 {
+		run.ts = make([]tuple.Tuple, len(res.Perm))
+		for i, j := range res.Perm {
+			run.ts[i] = ts[j]
+		}
+	}
+	return run, res.Comparisons
 }

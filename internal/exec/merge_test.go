@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tcq/internal/ra"
+	"tcq/internal/sortx"
 	"tcq/internal/storage"
 	"tcq/internal/tuple"
 	"tcq/internal/vclock"
@@ -33,6 +34,15 @@ func deadlineEnv(polls int) (*Env, *tickClock) {
 	env := NewEnv(st)
 	env.SetDeadline(vclock.NewDeadline(clk, time.Duration(polls)*time.Millisecond))
 	return env, clk
+}
+
+// makePres builds the sortx.Prefix abbreviations of a key array.
+func makePres(keys [][]byte) []uint64 {
+	pres := make([]uint64, len(keys))
+	for i, k := range keys {
+		pres[i] = sortx.Prefix(k)
+	}
+	return pres
 }
 
 // singleKeyNode builds a bare merge node whose runs it joins directly
@@ -71,7 +81,7 @@ func TestMergeJoinDeadlineAbortsEmitLoop(t *testing.T) {
 		n, sch, run := singleKeyNode(env)
 		keys := buildNormKeys(run, sch, []int{0})
 		sr := sortedRun{ts: run, keys: keys, pres: makePres(keys)}
-		_, _, err := n.keyedMergeJoin(sr, sr)
+		_, _, _, err := n.keyedMergeJoin(sr, sr, true)
 		if !IsAborted(err) {
 			t.Fatalf("keyedMergeJoin on a 100x100 single-key cross product: got err=%v, want deadline abort", err)
 		}

@@ -76,7 +76,17 @@ func (te *TermExec) SetAggregate(col string) error {
 
 // Advance evaluates one more stage of the term. Feeds must already hold
 // the stage's samples (Feed.LoadStage).
+//
+// A root whose output nothing aggregates — no SetAggregate, no
+// SetGroupBy — is only ever counted (Root.CumOutTuples), so a merge
+// root evaluates count-only, without building its output tuples
+// (mergeNode.advanceCount): its simulated charges, polls and
+// statistics are those of the materializing evaluation.
 func (te *TermExec) Advance(stage int) error {
+	if mn, ok := te.Root.(*mergeNode); ok && te.aggCol < 0 && te.groupCol < 0 {
+		_, err := mn.advanceCount(stage)
+		return err
+	}
 	out, err := te.Root.Advance(stage)
 	if err != nil {
 		return err
@@ -129,11 +139,7 @@ func (te *TermExec) PointsEvaluated() float64 {
 	for s := 0; s < nStages; s++ {
 		prod := 1.0
 		for _, f := range te.feeds {
-			ts, err := f.StageTuples(s)
-			if err != nil {
-				return total
-			}
-			prod *= float64(len(ts))
+			prod *= float64(f.StageLen(s))
 		}
 		total += prod
 	}

@@ -18,19 +18,23 @@ import (
 
 // BlockSampler draws disk-block indices without replacement from a
 // relation of D blocks. The draw order is a seeded random permutation,
-// materialised lazily with a partial Fisher–Yates shuffle so that huge
-// relations do not cost O(D) memory until sampled.
+// produced by a Fisher–Yates shuffle run one draw at a time. Its state
+// is a dense array created on the first draw, so a sampler that never
+// draws costs no O(D) memory. The array holds each position's offset
+// from the identity (slot i holds value i + perm[i]), so its zeroed
+// initial state is the identity permutation and needs no O(D) fill.
 type BlockSampler struct {
 	d     int
 	rng   *rand.Rand
-	perm  map[int]int // sparse Fisher–Yates state
-	next  int         // number of indices already drawn
-	fixed []int       // prebuilt permutation (catalog warm path); nil when live
+	perm  []int32 // Fisher–Yates state as offsets from the identity; nil until the first draw
+	next  int     // number of indices already drawn
+	fixed []int   // prebuilt permutation (catalog warm path); nil when live
 }
 
-// NewBlockSampler creates a sampler over block indices [0, d).
+// NewBlockSampler creates a sampler over block indices [0, d); d must
+// fit in an int32.
 func NewBlockSampler(d int, rng *rand.Rand) *BlockSampler {
-	return &BlockSampler{d: d, rng: rng, perm: make(map[int]int)}
+	return &BlockSampler{d: d, rng: rng}
 }
 
 // NewBlockSamplerFromPerm creates a sampler that replays a prebuilt
@@ -63,19 +67,16 @@ func (b *BlockSampler) Draw(k int) []int {
 		b.next += k
 		return out
 	}
+	if b.perm == nil {
+		b.perm = make([]int32, b.d)
+	}
 	out := make([]int, 0, k)
 	for i := 0; i < k; i++ {
 		j := b.next + b.rng.Intn(b.d-b.next)
-		vj, ok := b.perm[j]
-		if !ok {
-			vj = j
-		}
-		vn, ok := b.perm[b.next]
-		if !ok {
-			vn = b.next
-		}
-		b.perm[j] = vn
-		b.perm[b.next] = vj
+		vj := j + int(b.perm[j])
+		vn := b.next + int(b.perm[b.next])
+		b.perm[j] = int32(vn - j)
+		b.perm[b.next] = int32(vj - b.next)
 		out = append(out, vj)
 		b.next++
 	}

@@ -225,3 +225,66 @@ func TestSampleInts(t *testing.T) {
 		t.Error("zero sample should be nil")
 	}
 }
+
+// mapSampler is the sparse map-based Fisher–Yates sampler BlockSampler
+// used to be: the reference its dense state must reproduce draw for
+// draw.
+type mapSampler struct {
+	d, next int
+	rng     *rand.Rand
+	perm    map[int]int
+}
+
+func (m *mapSampler) draw(k int) []int {
+	k = min(k, m.d-m.next)
+	if k <= 0 {
+		return nil
+	}
+	out := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		j := m.next + m.rng.Intn(m.d-m.next)
+		vj, ok := m.perm[j]
+		if !ok {
+			vj = j
+		}
+		vn, ok := m.perm[m.next]
+		if !ok {
+			vn = m.next
+		}
+		m.perm[j] = vn
+		m.perm[m.next] = vj
+		out = append(out, vj)
+		m.next++
+	}
+	return out
+}
+
+// TestBlockSamplerMatchesMapReference checks that the dense sampler
+// draws exactly what the map-based sampler drew, over random relation
+// sizes and draw-size sequences, and leaves the shared RNG in the same
+// state: every seeded sample in the system depends on both.
+func TestBlockSamplerMatchesMapReference(t *testing.T) {
+	meta := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		d := []int{0, 1, 2, 7, 100, 1000, 5000}[meta.Intn(7)]
+		seed := meta.Int63()
+		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := NewBlockSampler(d, rngA)
+		want := &mapSampler{d: d, rng: rngB, perm: map[int]int{}}
+		for step := 0; step < 8; step++ {
+			k := meta.Intn(d/3 + 3)
+			a, b := got.Draw(k), want.draw(k)
+			if len(a) != len(b) {
+				t.Fatalf("trial %d (d=%d) step %d: drew %d, reference %d", trial, d, step, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("trial %d (d=%d) step %d draw %d: %d, reference %d", trial, d, step, i, a[i], b[i])
+				}
+			}
+		}
+		if x, y := rngA.Int63(), rngB.Int63(); x != y {
+			t.Fatalf("trial %d: RNG streams diverged after the draws", trial)
+		}
+	}
+}

@@ -8,19 +8,17 @@
 // in-memory slices in this reproduction. Comparison counts are returned
 // so callers can charge CPU cost to the session clock in one step.
 //
-// Two entry points share one generic core: Sort orders tuples with a
-// caller comparator; SortKeyed orders tuples by cached normalized byte
-// keys (internal/tuple), comparing with bytes.Compare instead of
-// re-walking []Value columns. Both perform identical comparator-call
-// sequences for equivalent orderings, so charged comparison counts are
-// independent of the entry point used.
+// Sort orders tuples with a caller comparator through the generic
+// sortCore; SortKeyed and SortKeyedIdx order by cached normalized byte
+// keys (internal/tuple) through a specialised copy of the same
+// algorithms (kernel.go). All entry points perform identical
+// comparator-call sequences for equivalent orderings, so charged
+// comparison counts are independent of the entry point used.
 package sortx
 
 import (
-	"bytes"
 	"container/heap"
 	"slices"
-	"sync"
 
 	"tcq/internal/tuple"
 )
@@ -120,10 +118,6 @@ type KeyedResult struct {
 	Runs        int
 }
 
-// idxPool recycles the index arenas of SortKeyed (the hot path of the
-// executors: one argsort per side per stage).
-var idxPool = sync.Pool{New: func() any { return []int32(nil) }}
-
 // SortKeyed externally sorts ts by the cached normalized keys (keys[i]
 // is ts[i]'s key; len(keys) must equal len(ts)), comparing keys with
 // bytes.Compare. The comparator-call sequence — and therefore the
@@ -140,18 +134,22 @@ func SortKeyed(ts []tuple.Tuple, keys [][]byte, runSize int) KeyedResult {
 
 // IdxResult reports the outcome of an argsort by cached keys: the
 // sorting permutation (Perm[i] is the input index of sorted rank i)
-// plus the keys gathered into sorted order.
+// plus the keys and their Prefix abbreviations gathered into sorted
+// order.
 type IdxResult struct {
 	Perm        []int32
 	Keys        [][]byte
+	Pres        []uint64
 	Comparisons int64
 	Runs        int
 }
 
 // SortKeyedIdx argsorts the normalized keys and returns the sorting
-// permutation, for callers that gather columnar data instead of row
-// tuples. The comparator-call sequence is identical to SortKeyed over
-// the same keys. The input slice is not modified.
+// permutation, for callers that gather columnar data (or nothing at
+// all) instead of row tuples. It runs the specialised kernel of
+// kernel.go, whose comparator-call sequence — and so its Perm,
+// Comparisons and Runs — is identical to sortCore's over the same keys
+// with bytes.Compare. The input slice is not modified.
 func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	if runSize <= 0 {
 		runSize = DefaultRunSize
@@ -160,24 +158,18 @@ func SortKeyedIdx(keys [][]byte, runSize int) IdxResult {
 	if n == 0 {
 		return IdxResult{}
 	}
-	// Argsort: order indices by key, then gather. Index moves are 4
-	// bytes instead of a tuple header + key header per swap.
-	idx := idxPool.Get().([]int32)
-	if cap(idx) < n {
-		idx = make([]int32, n)
+	s := keySorter{keys: keys, pres: make([]uint64, n)}
+	for i, k := range keys {
+		s.pres[i] = Prefix(k)
 	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	cmp := func(a, b int32) int { return bytes.Compare(keys[a], keys[b]) }
-	sortedIdx, comps, runs := sortCore(idx, cmp, runSize)
+	perm, runs := s.sort(runSize)
 	outK := make([][]byte, n)
-	for i, j := range sortedIdx {
+	outP := make([]uint64, n)
+	for i, j := range perm {
 		outK[i] = keys[j]
+		outP[i] = s.pres[j]
 	}
-	idxPool.Put(idx[:0])
-	return IdxResult{Perm: sortedIdx, Keys: outK, Comparisons: comps, Runs: runs}
+	return IdxResult{Perm: perm, Keys: outK, Pres: outP, Comparisons: s.comps, Runs: runs}
 }
 
 type mergeItem[T any] struct {

@@ -1,7 +1,9 @@
 package sortx
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -167,5 +169,88 @@ func TestIsSorted(t *testing.T) {
 	}
 	if IsSorted(intTuples(2, 1), byFirst) {
 		t.Error("descending should not be sorted")
+	}
+}
+
+// kernelKeys generates n keys of one shape: 8-byte keys from few or
+// many distinct values (ties), keys longer than 8 bytes sharing their
+// first 8 bytes (prefix ties that the full-key fallback must decide),
+// and short keys whose zero-padded prefixes collide ("a" vs "a\x00").
+func kernelKeys(rng *rand.Rand, n int, shape string) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		switch shape {
+		case "8-byte-ties":
+			keys[i] = []byte{0, 0, 0, 0, 0, 0, 0, byte(rng.Intn(4))}
+		case "8-byte":
+			k := make([]byte, 8)
+			rng.Read(k)
+			keys[i] = k
+		case "long":
+			k := []byte("prefix__")
+			for j := rng.Intn(6); j > 0; j-- {
+				k = append(k, byte('a'+rng.Intn(3)))
+			}
+			keys[i] = k
+		case "short":
+			k := []byte{'a'}
+			for j := rng.Intn(4); j > 0; j-- {
+				k = append(k, byte(rng.Intn(2)))
+			}
+			keys[i] = k
+		}
+	}
+	return keys
+}
+
+// TestKernelMatchesSortCore pins the keyed sort kernel to the generic
+// sortCore it specialises: over ties, 8-byte keys, keys longer than 8
+// bytes and short zero-padded keys, at sizes around the insertion-sort
+// block (20) and the run size (512), both must return the same
+// permutation, the same comparison count and the same run count — the
+// comparison count is charged to the simulated clock, so any deviation
+// would change every simulated timeline.
+func TestKernelMatchesSortCore(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range []string{"8-byte-ties", "8-byte", "long", "short"} {
+		for _, n := range []int{0, 1, 19, 20, 21, 511, 512, 513, 3000} {
+			for _, runSize := range []int{20, 512} {
+				keys := kernelKeys(rng, n, shape)
+				idx := make([]int32, n)
+				for i := range idx {
+					idx[i] = int32(i)
+				}
+				wantPerm, wantComps, wantRuns := sortCore(idx, func(a, b int32) int {
+					return bytes.Compare(keys[a], keys[b])
+				}, runSize)
+				got := SortKeyedIdx(keys, runSize)
+				if got.Comparisons != wantComps || got.Runs != wantRuns || !slices.Equal(got.Perm, wantPerm) {
+					t.Fatalf("%s n=%d run=%d: kernel (comps %d, runs %d) != sortCore (comps %d, runs %d), perm equal %v",
+						shape, n, runSize, got.Comparisons, got.Runs, wantComps, wantRuns, slices.Equal(got.Perm, wantPerm))
+				}
+				for i, j := range got.Perm {
+					if !bytes.Equal(got.Keys[i], keys[j]) || got.Pres[i] != Prefix(keys[j]) {
+						t.Fatalf("%s n=%d run=%d: rank %d keys/prefixes not gathered by Perm", shape, n, runSize, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPrefixOrder checks the abbreviation contract the kernel relies
+// on: unequal prefixes order exactly as bytes.Compare orders the keys.
+func TestPrefixOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 20000; i++ {
+		a := kernelKeys(rng, 1, []string{"8-byte", "long", "short"}[i%3])[0]
+		b := kernelKeys(rng, 1, []string{"8-byte", "long", "short"}[(i/3)%3])[0]
+		pa, pb := Prefix(a), Prefix(b)
+		if pa == pb {
+			continue
+		}
+		if c := bytes.Compare(a, b); (pa < pb) != (c < 0) {
+			t.Fatalf("Prefix(%q)=%x vs Prefix(%q)=%x disagrees with bytes.Compare=%d", a, pa, b, pb, c)
+		}
 	}
 }

@@ -72,8 +72,8 @@ func TestBatchRelationMirrorsRowRelation(t *testing.T) {
 			t.Fatal(err)
 		}
 		afterRow := clk.Now() - before
-		bb, err := batchRel.ReadBlockBatchIn(st, i, dl)
-		if err != nil {
+		bb := tuple.NewBatch(batchRel.Schema())
+		if err := batchRel.ReadBlockBatchIn(st, i, dl, bb); err != nil {
 			t.Fatal(err)
 		}
 		afterBatch := clk.Now() - before - afterRow
@@ -112,11 +112,15 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	_, batchRel, st := buildPair(t, 5)
 	clk := st.Clock().(*vclock.Sim)
 	expired := vclock.NewDeadline(clk, -time.Second)
-	if _, err := batchRel.ReadBlockBatchIn(st, 0, expired); !errors.Is(err, ErrDeadline) {
+	dst := tuple.NewBatch(batchRel.Schema())
+	if err := batchRel.ReadBlockBatchIn(st, 0, expired, dst); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired read err = %v, want ErrDeadline", err)
 	}
-	if _, err := batchRel.ReadBlockBatchIn(st, 99, vclock.Unarmed()); err == nil {
+	if err := batchRel.ReadBlockBatchIn(st, 99, vclock.Unarmed(), dst); err == nil {
 		t.Fatal("out-of-range read succeeded")
+	}
+	if dst.Len() != 0 {
+		t.Fatalf("failed reads appended %d rows", dst.Len())
 	}
 	// Row appends land in the batch storage and extend the block range.
 	if err := batchRel.Append(tuple.Tuple{int64(1000), "x"}); err != nil {
@@ -150,11 +154,15 @@ func TestBatchRelationDeadlineAndAppend(t *testing.T) {
 	if got := rowRel.NumTuples(); got != 3 {
 		t.Fatalf("NumTuples = %d", got)
 	}
-	if _, err := batchRel.ReadBlockBatchIn(st, 0, vclock.Unarmed()); err != nil {
+	if err := batchRel.ReadBlockBatchIn(st, 0, vclock.Unarmed(), dst); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rowRel.ReadBlockBatchIn(st, 0, vclock.Unarmed()); err == nil {
+	if err := rowRel.ReadBlockBatchIn(st, 0, vclock.Unarmed(), dst); err == nil {
 		t.Fatal("ReadBlockBatchIn on row relation succeeded")
+	}
+	other := tuple.NewBatch(tuple.MustSchema(tuple.Column{Name: "z", Type: tuple.Int}))
+	if err := batchRel.ReadBlockBatchIn(st, 0, vclock.Unarmed(), other); err == nil {
+		t.Fatal("ReadBlockBatchIn into a batch of another schema succeeded")
 	}
 }
 

@@ -60,7 +60,7 @@ func (r *Relation) Save(w io.Writer) error {
 			}
 			blk = b
 		case r.batch != nil:
-			blk = r.blockBatchLocked(i).Rows()
+			blk = r.batch.RowsRange(r.blockRangeLocked(i))
 		default:
 			blk = r.blocks[i]
 		}

@@ -308,7 +308,7 @@ type Relation struct {
 }
 
 // Columnar reports whether the relation stores its data as a columnar
-// batch, enabling the zero-copy ReadBlockBatchIn read path.
+// batch, enabling the row-free ReadBlockBatchIn read path.
 func (r *Relation) Columnar() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -341,15 +341,11 @@ func (r *Relation) numBlocksLocked() int {
 	return len(r.blocks)
 }
 
-// blockBatchLocked returns block i of a batch-backed relation as a
-// zero-copy view.
-func (r *Relation) blockBatchLocked(i int) *tuple.Batch {
-	lo := i * r.blockingFactor
-	hi := lo + r.blockingFactor
-	if n := r.batch.Len(); hi > n {
-		hi = n
-	}
-	return r.batch.Slice(lo, hi)
+// blockRangeLocked returns the row range [lo, hi) of block i of a
+// batch-backed relation.
+func (r *Relation) blockRangeLocked(i int) (lo, hi int) {
+	lo = i * r.blockingFactor
+	return lo, min(lo+r.blockingFactor, r.batch.Len())
 }
 
 // NumTuples returns the total number of tuples.
@@ -468,7 +464,7 @@ func (r *Relation) ReadBlockIn(sess *Store, i int, dl vclock.Deadline) ([]tuple.
 	case r.batch != nil:
 		// Slow path for batch-backed relations (row materialization);
 		// the executors use ReadBlockBatchIn instead.
-		blk = r.blockBatchLocked(i).Rows()
+		blk = r.batch.RowsRange(r.blockRangeLocked(i))
 	default:
 		blk = r.blocks[i]
 	}
@@ -479,30 +475,36 @@ func (r *Relation) ReadBlockIn(sess *Store, i int, dl vclock.Deadline) ([]tuple.
 	return blk, nil
 }
 
-// ReadBlockBatchIn returns block i of a batch-backed relation as a
-// zero-copy columnar view, with exactly the same deadline handling,
-// clock charge and counter increments as ReadBlockIn — the two read
-// paths are interchangeable as far as the simulation can observe.
-func (r *Relation) ReadBlockBatchIn(sess *Store, i int, dl vclock.Deadline) (*tuple.Batch, error) {
+// ReadBlockBatchIn appends the rows of block i of a batch-backed
+// relation to dst (which must have the relation's schema) by bulk
+// column copy, with exactly the same deadline handling, clock charge
+// and counter increments as ReadBlockIn — the two read paths are
+// interchangeable as far as the simulation can observe. On error dst
+// is unchanged.
+func (r *Relation) ReadBlockBatchIn(sess *Store, i int, dl vclock.Deadline, dst *tuple.Batch) error {
 	if dl.Expired() {
-		return nil, fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
+		return fmt.Errorf("storage: read %s block %d: %w", r.name, i, ErrDeadline)
+	}
+	if s := dst.Schema(); s != r.schema && !s.Equal(r.schema) {
+		return fmt.Errorf("storage: read %s block %d: destination schema mismatch", r.name, i)
 	}
 	r.mu.RLock()
 	if r.batch == nil {
 		r.mu.RUnlock()
-		return nil, fmt.Errorf("storage: relation %s is not batch-backed", r.name)
+		return fmt.Errorf("storage: relation %s is not batch-backed", r.name)
 	}
 	if i < 0 || i >= r.numBlocksLocked() {
 		n := r.numBlocksLocked()
 		r.mu.RUnlock()
-		return nil, fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
+		return fmt.Errorf("storage: %s block %d out of range [0,%d)", r.name, i, n)
 	}
-	blk := r.blockBatchLocked(i)
+	lo, hi := r.blockRangeLocked(i)
+	dst.AppendRange(r.batch, lo, hi)
 	r.mu.RUnlock()
 	sess.clock.Charge(sess.costs.BlockRead)
 	sess.counters.BlocksRead++
-	sess.counters.TuplesRead += int64(blk.Len())
-	return blk, nil
+	sess.counters.TuplesRead += int64(hi - lo)
+	return nil
 }
 
 // Scan invokes fn for every tuple, charging block reads as it goes. It

@@ -3,20 +3,20 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Batch is a column-oriented block of tuples: one typed slice per
 // schema column instead of a []Value per row. It is the unit the
 // batch-at-a-time executor moves around — relations store their data as
-// one big Batch, block reads hand out zero-copy Slice views, selection
-// evaluates predicates directly over the typed columns, and rows are
-// materialized to []Value form only where an operator genuinely needs
-// row access (join emission, aggregation output).
+// one big Batch, block reads append a block's rows to a stage batch by
+// bulk column copy (AppendRange), selection evaluates predicates
+// directly over the typed columns, and rows are materialized to []Value
+// form only where an operator genuinely needs row access (join
+// emission, aggregation output).
 //
-// A Batch obtained from Slice or Project is a view sharing the parent's
-// column storage; views must be treated as read-only. Appending to the
-// owning Batch never clobbers earlier views (column slices are
-// capacity-clamped), it only reallocates.
+// A Batch obtained from Project is a view sharing the parent's column
+// storage and must be treated as read-only.
 type Batch struct {
 	schema *Schema
 	n      int
@@ -114,35 +114,39 @@ func (b *Batch) AppendBatch(o *Batch) error {
 	if !b.schema.Equal(o.schema) {
 		return fmt.Errorf("tuple: AppendBatch schema mismatch")
 	}
-	for i, c := range b.schema.cols {
-		switch c.Type {
-		case Int:
-			b.cols[i].ints = append(b.cols[i].ints, o.cols[i].ints...)
-		case Float:
-			b.cols[i].floats = append(b.cols[i].floats, o.cols[i].floats...)
-		case String:
-			b.cols[i].strings = append(b.cols[i].strings, o.cols[i].strings...)
-		}
-	}
-	b.n += o.n
+	b.AppendRange(o, 0, o.n)
 	return nil
 }
 
-// Slice returns a zero-copy view of rows [lo, hi). The view is
-// read-only; it stays valid across later appends to b.
-func (b *Batch) Slice(lo, hi int) *Batch {
-	out := &Batch{schema: b.schema, n: hi - lo, cols: make([]colData, len(b.cols))}
-	for i := range b.cols {
-		switch {
-		case b.cols[i].ints != nil:
-			out.cols[i].ints = b.cols[i].ints[lo:hi:hi]
-		case b.cols[i].floats != nil:
-			out.cols[i].floats = b.cols[i].floats[lo:hi:hi]
-		case b.cols[i].strings != nil:
-			out.cols[i].strings = b.cols[i].strings[lo:hi:hi]
+// AppendRange appends rows [lo, hi) of o by bulk column copy. The
+// caller must ensure o has b's schema.
+func (b *Batch) AppendRange(o *Batch, lo, hi int) {
+	for i, c := range b.schema.cols {
+		switch c.Type {
+		case Int:
+			b.cols[i].ints = append(b.cols[i].ints, o.cols[i].ints[lo:hi]...)
+		case Float:
+			b.cols[i].floats = append(b.cols[i].floats, o.cols[i].floats[lo:hi]...)
+		case String:
+			b.cols[i].strings = append(b.cols[i].strings, o.cols[i].strings[lo:hi]...)
 		}
 	}
-	return out
+	b.n += hi - lo
+}
+
+// Grow ensures room for n more rows, so the next appends of up to n
+// rows reallocate no column.
+func (b *Batch) Grow(n int) {
+	for i, c := range b.schema.cols {
+		switch c.Type {
+		case Int:
+			b.cols[i].ints = slices.Grow(b.cols[i].ints, n)
+		case Float:
+			b.cols[i].floats = slices.Grow(b.cols[i].floats, n)
+		case String:
+			b.cols[i].strings = slices.Grow(b.cols[i].strings, n)
+		}
+	}
 }
 
 // Project returns a zero-copy view holding only the columns at idx, in
@@ -189,16 +193,26 @@ func (b *Batch) fillRow(t Tuple, i int) {
 
 // Rows materializes every row, sharing one backing []Value arena.
 func (b *Batch) Rows() []Tuple {
-	return b.RowsAt(nil)
+	return b.RowsRange(0, b.n)
+}
+
+// RowsRange materializes rows [lo, hi), sharing one backing []Value
+// arena across the tuples.
+func (b *Batch) RowsRange(lo, hi int) []Tuple {
+	return b.rows(hi-lo, func(i int) int { return lo + i })
 }
 
 // RowsAt materializes the rows at the given indices (all rows when sel
 // is nil), sharing one backing []Value arena across the tuples.
 func (b *Batch) RowsAt(sel []int32) []Tuple {
-	n := b.n
-	if sel != nil {
-		n = len(sel)
+	if sel == nil {
+		return b.Rows()
 	}
+	return b.rows(len(sel), func(i int) int { return int(sel[i]) })
+}
+
+// rows materializes n rows, the i-th being row(i).
+func (b *Batch) rows(n int, row func(i int) int) []Tuple {
 	if n == 0 {
 		return nil
 	}
@@ -206,12 +220,8 @@ func (b *Batch) RowsAt(sel []int32) []Tuple {
 	arena := make([]Value, n*w)
 	out := make([]Tuple, n)
 	for i := 0; i < n; i++ {
-		row := i
-		if sel != nil {
-			row = int(sel[i])
-		}
 		t := arena[i*w : (i+1)*w : (i+1)*w]
-		b.fillRow(Tuple(t), row)
+		b.fillRow(Tuple(t), row(i))
 		out[i] = Tuple(t)
 	}
 	return out

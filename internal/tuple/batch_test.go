@@ -50,32 +50,43 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchSliceViewsSurviveAppend(t *testing.T) {
+func TestBatchAppendRangeCopiesRows(t *testing.T) {
 	s := batchSchema(t)
-	b := NewBatch(s)
+	src := NewBatch(s)
 	for i := 0; i < 10; i++ {
-		if err := b.AppendRow(Tuple{int64(i), float64(i), "v"}); err != nil {
+		if err := src.AppendRow(Tuple{int64(i), float64(i), "v"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	view := b.Slice(2, 5)
-	if view.Len() != 3 {
-		t.Fatalf("view Len = %d, want 3", view.Len())
+	b := NewBatch(s)
+	b.Grow(3)
+	b.AppendRange(src, 2, 5)
+	if b.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", b.Len())
 	}
-	// Appending to the owner must not clobber the view (cap-clamped).
+	// The rows are copies: later appends to either batch leave the
+	// other untouched.
 	for i := 10; i < 200; i++ {
-		if err := b.AppendRow(Tuple{int64(i), 0.0, ""}); err != nil {
+		if err := src.AppendRow(Tuple{int64(i), 0.0, ""}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if got := view.Ints(0)[i]; got != int64(i+2) {
-			t.Errorf("view row %d id = %d, want %d", i, got, i+2)
+	b.AppendRange(src, 0, 1)
+	for i, want := range []int64{2, 3, 4, 0} {
+		if got := b.Ints(0)[i]; got != want {
+			t.Errorf("row %d id = %d, want %d", i, got, want)
 		}
 	}
-	empty := b.Slice(4, 4)
-	if empty.Len() != 0 || len(empty.Rows()) != 0 {
-		t.Errorf("empty slice view not empty: len=%d", empty.Len())
+	if got := src.Ints(0)[2]; got != 2 {
+		t.Errorf("source row 2 id = %d after appends to the copy", got)
+	}
+	rows := b.RowsRange(1, 3)
+	if len(rows) != 2 || rows[0][0] != int64(3) || rows[1][2] != "v" {
+		t.Errorf("RowsRange(1, 3) = %v", rows)
+	}
+	b.AppendRange(src, 4, 4)
+	if b.Len() != 4 || len(b.RowsRange(2, 2)) != 0 {
+		t.Errorf("empty ranges changed the batch: len=%d", b.Len())
 	}
 }
 
@@ -92,9 +103,7 @@ func TestBatchAppendBatchAndMake(t *testing.T) {
 	if err := b.AppendBatch(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AppendBatch(m.Slice(1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	b.AppendRange(m, 1, 2)
 	want := []int64{5, 6, 6}
 	for i, w := range want {
 		if got := b.Ints(0)[i]; got != w {
