@@ -42,7 +42,6 @@ import (
 	"tcq"
 	"tcq/internal/client"
 	"tcq/internal/server"
-	"tcq/internal/telemetry"
 	"tcq/internal/trace"
 	"tcq/internal/wire"
 	"tcq/internal/workload"
@@ -189,7 +188,7 @@ func main() {
 				if err == nil {
 					reg.Observe(latencyMetric, lat.Seconds())
 					for _, sp := range ev.Spans {
-						reg.Observe(telemetry.Labeled(spanMetric, "span", sp.Name), sp.Dur.Seconds())
+						reg.Observe(spanMetric, sp.Dur.Seconds(), trace.Label{Key: "span", Value: sp.Name})
 					}
 				}
 			}
@@ -249,13 +248,8 @@ func main() {
 	if h, ok := reg.Snapshot().Histograms[latencyMetric]; ok {
 		fmt.Printf("tcqload: histogram %s: count=%d mean=%.4fs min=%.4fs max=%.4fs\n",
 			latencyMetric, h.Count, h.Mean, h.Min, h.Max)
-		keys := make([]string, 0, len(h.Buckets))
-		for k := range h.Buckets {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return bucketBound(keys[i]) < bucketBound(keys[j]) })
-		for _, k := range keys {
-			fmt.Printf("tcqload:   %-12s %d\n", k, h.Buckets[k])
+		for _, b := range h.Buckets {
+			fmt.Printf("tcqload:   %-12s %d\n", fmt.Sprintf("le_%g", b.Le()), b.Count)
 		}
 	}
 	// Span breakdown: where each request's wall time went, aggregated
@@ -285,15 +279,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcqload: FAIL: %d errors + %d deadline misses exceed -max-miss %d\n", failures, misses, *maxMiss)
 		os.Exit(1)
 	}
-}
-
-// bucketBound orders "le_<bound>" histogram bucket keys numerically.
-func bucketBound(k string) float64 {
-	var v float64
-	if _, err := fmt.Sscanf(k, "le_%g", &v); err != nil {
-		return 1e300 // +Inf-style buckets sort last
-	}
-	return v
 }
 
 func fatal(err error) {

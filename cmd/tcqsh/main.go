@@ -66,6 +66,7 @@ import (
 	"tcq"
 	"tcq/internal/calib"
 	"tcq/internal/client"
+	"tcq/internal/trace"
 	"tcq/internal/wire"
 	"tcq/internal/workload"
 )
@@ -467,16 +468,11 @@ func (s *session) dispatch(line string) error {
 			}
 			s.seed = v
 		case "strategy":
-			switch strings.TrimSpace(val) {
-			case "one-at-a-time":
-				s.strategy = tcq.OneAtATime
-			case "single-interval":
-				s.strategy = tcq.SingleInterval
-			case "heuristic":
-				s.strategy = tcq.Heuristic
-			default:
+			k, err := tcq.ParseStrategy(strings.TrimSpace(val))
+			if err != nil {
 				return fmt.Errorf("strategies: one-at-a-time, single-interval, heuristic")
 			}
+			s.strategy = k
 		case "stats":
 			switch strings.TrimSpace(val) {
 			case "on":
@@ -531,8 +527,9 @@ func (s *session) watchInFlight() error {
 }
 
 // watchEstimate runs `\watch DUR EXPR`: a time-constrained COUNT that
-// renders one live progress line per completed stage, read back from
-// the session's in-flight registry (the same records /queries serves).
+// renders one live progress line per completed stage, pushed by a
+// progress Stream on the tracer chain (the same records /queries
+// serves).
 func (s *session) watchEstimate(rest string) error {
 	durStr, exprStr := splitWord(rest)
 	quota, err := time.ParseDuration(durStr)
@@ -544,16 +541,17 @@ func (s *session) watchEstimate(rest string) error {
 		return err
 	}
 	opts := s.estimateOptions(quota)
-	opts.OnProgress = func(tcq.Progress) {
-		for _, p := range s.db.InFlight() {
-			var rels strings.Builder
-			for _, r := range p.Relations {
-				fmt.Fprintf(&rels, ", %s %.1f%%", r.Relation, r.Coverage*100)
-			}
-			fmt.Fprintf(s.out, "stage %d: est %.1f ± %.1f, spent %.0f%%, %d blocks%s\n",
-				p.Stages, p.Estimate, p.Interval, p.SpentFrac*100, p.Blocks, rels.String())
+	opts.Tracer = trace.Combine(opts.Tracer, tcq.NewStream("", func(p tcq.QueryProgress, done bool) {
+		if done {
+			return
 		}
-	}
+		var rels strings.Builder
+		for _, r := range p.Relations {
+			fmt.Fprintf(&rels, ", %s %.1f%%", r.Relation, r.Coverage*100)
+		}
+		fmt.Fprintf(s.out, "stage %d: est %.1f ± %.1f, spent %.0f%%, %d blocks%s\n",
+			p.Stages, p.Estimate, p.Interval, p.SpentFrac*100, p.Blocks, rels.String())
+	}))
 	est, err := s.db.CountEstimate(q, opts)
 	if err != nil {
 		return err
@@ -716,7 +714,7 @@ func (s *session) printSQL(res *tcq.SQLResult) {
 // each per-stage progress event renders as a trace line.
 func (s *session) remoteQuery(req wire.QueryRequest) (*wire.Event, error) {
 	req.DBeta = s.dBeta
-	req.Strategy = strategyName(s.strategy)
+	req.Strategy = s.strategy.String()
 	req.Seed = s.seed
 	req.Parallel = s.parallelism
 	if s.traceOn && !req.Exact {
@@ -727,18 +725,6 @@ func (s *session) remoteQuery(req wire.QueryRequest) (*wire.Event, error) {
 			ev.Stage, ev.Estimate, ev.Interval, ev.SpentFrac*100, ev.Blocks)
 		s.out.Flush()
 	})
-}
-
-// strategyName maps the session strategy to its wire slug.
-func strategyName(k tcq.StrategyKind) string {
-	switch k {
-	case tcq.SingleInterval:
-		return "single-interval"
-	case tcq.Heuristic:
-		return "heuristic"
-	default:
-		return "one-at-a-time"
-	}
 }
 
 // printWireSpans renders the server's latency anatomy for the last
@@ -815,7 +801,7 @@ func (s *session) estimateOptions(quota time.Duration) tcq.EstimateOptions {
 		Parallelism:   s.parallelism,
 	}
 	if s.traceOn {
-		opts.Trace = s.out
+		opts.Tracer = trace.NewText(s.out)
 	}
 	return opts
 }

@@ -1,8 +1,7 @@
 package tcq
 
 import (
-	"io"
-	"math"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"tcq/internal/core"
 	"tcq/internal/exec"
 	"tcq/internal/histogram"
-	"tcq/internal/telemetry"
 	"tcq/internal/timectrl"
 	"tcq/internal/trace"
 )
@@ -41,6 +39,17 @@ func (k StrategyKind) String() string {
 	default:
 		return "one-at-a-time"
 	}
+}
+
+// ParseStrategy maps a strategy name (as printed by String) back to
+// its kind.
+func ParseStrategy(name string) (StrategyKind, error) {
+	for _, k := range []StrategyKind{OneAtATime, SingleInterval, Heuristic} {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
 }
 
 // Plan selects the cluster-sampling evaluation plan.
@@ -111,20 +120,15 @@ type EstimateOptions struct {
 	// sessions (DB.Tenant) stamp "tenant/name" here; empty for ad-hoc
 	// queries. Purely observational: it never affects the estimate.
 	Label string
-	// OnProgress, when non-nil, receives each completed stage's
-	// progressive estimate (online-aggregation style).
-	OnProgress func(Progress)
-	// Trace, when non-nil, receives a human-readable line per stage
-	// decision (selectivities, planned fraction, predicted vs actual) —
-	// the debugging view of the time-control algorithm.
-	Trace io.Writer
-	// CollectTrace records a structured per-stage trace of the run and
-	// attaches it to Estimate.Trace (see ExplainAnalyze for a rendered
-	// view). Off by default: collection snapshots the operator tree
-	// after every stage.
-	CollectTrace bool
-	// Tracer, when non-nil, additionally streams trace events to a
-	// custom observer (see the trace package).
+	// Tracer, when non-nil, observes the run stage by stage: one
+	// QueryInfo, one StageRecord per stage and one QueryEnd (see the
+	// trace package). It is the only observer input. A trace.Collector
+	// keeps the structured trace (see RenderAnalyze), trace.NewText
+	// prints the per-stage decisions, and a Stream pushes the running
+	// estimate ± CI after every completed stage (online-aggregation
+	// style); the trace package's Combine chains several. It runs after
+	// the DB's own telemetry and calibration observers, so a callback
+	// that reads InFlight already sees the stage it is told about.
 	Tracer trace.Tracer
 	// GroundTruth, when non-nil, declares the query's known exact answer
 	// (e.g. a prior full-scan count). It never influences the estimate;
@@ -133,15 +137,6 @@ type EstimateOptions struct {
 	// DB.Calibration() and DB.QueryStats(), and a miss captures the run
 	// in the flight recorder. A pointer because 0 is a meaningful truth.
 	GroundTruth *float64
-}
-
-// Progress is a per-stage progressive estimate.
-type Progress struct {
-	Stage    int
-	Estimate float64
-	StdErr   float64
-	Blocks   int           // blocks drawn this stage
-	Spent    time.Duration // stage duration
 }
 
 // Estimate is the outcome of a time-constrained COUNT.
@@ -170,9 +165,6 @@ type Estimate struct {
 	Overrun   time.Duration
 	// StopReason explains why evaluation ended.
 	StopReason string
-	// Trace is the structured per-stage record of the run, present only
-	// when EstimateOptions.CollectTrace was set.
-	Trace *QueryTrace
 }
 
 // CountEstimate evaluates COUNT(q) within the time quota using the
@@ -319,8 +311,6 @@ func (db *DB) run(q Query, agg core.AggKind, col, groupBy string, opts EstimateO
 		Mode:        mode,
 		Plan:        plan,
 		Sampling:    samplingPlan,
-		Trace:       opts.Trace,
-		Tracer:      opts.Tracer,
 		Metrics:     db.metrics,
 		Initial:     initial,
 		Confidence:  opts.Confidence,
@@ -328,49 +318,18 @@ func (db *DB) run(q Query, agg core.AggKind, col, groupBy string, opts EstimateO
 		Parallelism: workers,
 		Catalog:     db.samples,
 	}
-	var collector *trace.Collector
-	if opts.CollectTrace {
-		collector = trace.NewCollector()
-		coreOpts.Tracer = trace.Combine(collector, opts.Tracer)
+	// The DB's own observers ride the tracer chain ahead of the
+	// caller's: the live telemetry handle, then the calibration probe.
+	// Both are nil (and dropped by Combine) when their feature is off,
+	// and both inherit the tracing layer's read-only contract.
+	var gt *calib.Truth
+	handle := db.progress.Track(opts.Label)
+	if opts.GroundTruth != nil {
+		handle.SetTruth(*opts.GroundTruth)
+		gt = &calib.Truth{Value: *opts.GroundTruth, Level: opts.Confidence}
 	}
-	// The live telemetry handle rides the tracer chain: progress updates
-	// happen at stage boundaries under the tracing layer's read-only
-	// contract. With telemetry off this is a single nil check.
-	var handle *telemetry.Handle
-	if db.progress != nil {
-		handle = db.progress.Track(opts.Label)
-		if opts.GroundTruth != nil {
-			handle.SetTruth(*opts.GroundTruth)
-		}
-		coreOpts.Tracer = trace.Combine(coreOpts.Tracer, handle)
-	}
-	// The calibration probe rides the same chain under the same
-	// contract; with calibration off this is a single nil check.
-	var probe *calib.Probe
-	if db.calib != nil {
-		var gt *calib.Truth
-		if opts.GroundTruth != nil {
-			gt = &calib.Truth{Value: *opts.GroundTruth, Level: opts.Confidence}
-		}
-		probe = db.calib.Track(opts.Label, gt)
-		coreOpts.Tracer = trace.Combine(coreOpts.Tracer, probe)
-	}
-	if opts.OnProgress != nil {
-		cb := opts.OnProgress
-		coreOpts.OnStage = func(r core.StageRecord) {
-			stdErr := 0.0
-			if r.Variance > 0 {
-				stdErr = sqrt(r.Variance)
-			}
-			cb(Progress{
-				Stage:    r.Index,
-				Estimate: r.Estimate,
-				StdErr:   stdErr,
-				Blocks:   r.Blocks,
-				Spent:    r.Actual,
-			})
-		}
-	}
+	probe := db.calib.Track(opts.Label, gt)
+	coreOpts.Tracer = trace.Combine(handle, probe, opts.Tracer)
 
 	// Each estimate runs on its own session: a confined clock and
 	// counter view over the shared catalog, making concurrent calls
@@ -383,10 +342,6 @@ func (db *DB) run(q Query, agg core.AggKind, col, groupBy string, opts EstimateO
 		return nil, nil, err
 	}
 	finish(res.Elapsed)
-	var qt *QueryTrace
-	if collector != nil {
-		qt = collector.Trace()
-	}
 	return res, &Estimate{
 		Value:       res.Estimate.Value,
 		StdErr:      res.Estimate.StdErr(),
@@ -399,7 +354,6 @@ func (db *DB) run(q Query, agg core.AggKind, col, groupBy string, opts EstimateO
 		Overspent:   res.Overspent,
 		Overrun:     res.Overspend,
 		StopReason:  res.StopReason,
-		Trace:       qt,
 	}, nil
 }
 
@@ -426,11 +380,4 @@ func histCat(db *DB, use bool) *histogram.Catalog {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.stats
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
 }

@@ -29,7 +29,7 @@ func main() {
 	q := tcq.Rel("orders").Join(tcq.Rel("lineitems"), "a", "a")
 	fmt.Println("query: count(", q, ")   [exact answer: 70000]")
 	fmt.Println()
-	fmt.Printf("%5s %12s %12s %9s %8s\n", "stage", "estimate", "± stderr", "blocks", "spent")
+	fmt.Printf("%5s %12s %12s %9s %8s\n", "stage", "estimate", "± stderr", "blocks", "elapsed")
 
 	est, err := db.CountEstimate(q, tcq.EstimateOptions{
 		// Generous ceiling; the error target is what stops us.
@@ -41,10 +41,14 @@ func main() {
 		// to be informative.
 		InitialJoinSelectivity: 0.1,
 		Seed:                   2,
-		OnProgress: func(p tcq.Progress) {
-			fmt.Printf("%5d %12.1f %12.1f %9d %8.2fs\n",
-				p.Stage, p.Estimate, p.StdErr, p.Blocks, p.Spent.Seconds())
-		},
+		// The progress stream reports the running (cumulative) sample
+		// and elapsed time after every completed stage.
+		Tracer: tcq.NewStream("", func(p tcq.QueryProgress, done bool) {
+			if !done {
+				fmt.Printf("%5d %12.1f %12.1f %9d %8.2fs\n",
+					p.Stages, p.Estimate, p.StdErr, p.Blocks, p.Elapsed.Seconds())
+			}
+		}),
 	})
 	if err != nil {
 		log.Fatal(err)

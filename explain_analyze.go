@@ -15,14 +15,16 @@ import (
 // estimated selectivity and tuple flow from the final stage, followed
 // by the stage table (chosen fraction f_i, predicted vs actual QCOST,
 // overshoot, running estimate) and the run summary. The query is
-// actually executed under opts — the quota is spent.
+// actually executed under opts — the quota is spent. The trace is
+// kept by a trace.Collector appended to opts.Tracer.
 func (db *DB) ExplainAnalyze(q Query, opts EstimateOptions) (string, error) {
-	opts.CollectTrace = true
+	col := trace.NewCollector()
+	opts.Tracer = trace.Combine(opts.Tracer, col)
 	est, err := db.CountEstimate(q, opts)
 	if err != nil {
 		return "", err
 	}
-	out := RenderAnalyze(est)
+	out := RenderAnalyze(col.Trace())
 	if opts.GroundTruth != nil {
 		out += renderTruthAudit(est, *opts.GroundTruth)
 	}
@@ -43,15 +45,10 @@ func renderTruthAudit(est *Estimate, truth float64) string {
 	}
 }
 
-// RenderAnalyze renders an already-collected trace (Estimate.Trace must
-// be present) in the ExplainAnalyze format.
-func RenderAnalyze(est *Estimate) string {
+// RenderAnalyze renders a query trace collected by a trace.Collector
+// (passed as EstimateOptions.Tracer) in the ExplainAnalyze format.
+func RenderAnalyze(t *QueryTrace) string {
 	var b strings.Builder
-	t := est.Trace
-	if t == nil {
-		b.WriteString("(no trace collected — set EstimateOptions.CollectTrace)\n")
-		return b.String()
-	}
 	fmt.Fprintf(&b, "count(%s)  quota=%v strategy=%s mode=%s plan=%s sampling=%s seed=%d\n",
 		t.Info.Query, t.Info.Quota, t.Info.Strategy, t.Info.Mode, t.Info.Plan,
 		t.Info.Sampling, t.Info.Seed)
@@ -69,11 +66,12 @@ func RenderAnalyze(est *Estimate) string {
 	}
 	b.WriteString("stages:\n")
 	b.WriteString(trace.RenderStages(t.Stages))
+	end := t.End
 	fmt.Fprintf(&b, "result: %.1f ± %.1f  stages=%d blocks=%d elapsed=%v utilization=%.0f%% stop=%s\n",
-		est.Value, est.Interval, est.Stages, est.Blocks, est.Elapsed,
-		100*est.Utilization, est.StopReason)
-	if est.Overspent {
-		fmt.Fprintf(&b, "overspent by %v\n", est.Overrun)
+		end.Estimate, end.Interval, end.Stages, end.Blocks, end.Elapsed,
+		100*end.Utilization, end.StopReason)
+	if end.Overspent {
+		fmt.Fprintf(&b, "overspent by %v\n", end.Overspend)
 	}
 	// Calibration footer: how well QCOST predicted this run. Derived
 	// purely from the stage records, so it is byte-identical for serial

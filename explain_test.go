@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tcq/internal/ra"
+	"tcq/internal/trace"
 )
 
 // setDB builds two overlapping single-column relations for the set
@@ -172,14 +173,12 @@ func TestExplainAnalyzeError(t *testing.T) {
 func TestEstimateCollectTrace(t *testing.T) {
 	db := demoDB(t, 2000, 0)
 	q := Rel("orders").Where(Col("amount").Lt(500))
-	est, err := db.CountEstimate(q, EstimateOptions{Quota: 10 * time.Second, Seed: 1, CollectTrace: true})
+	col := trace.NewCollector()
+	est, err := db.CountEstimate(q, EstimateOptions{Quota: 10 * time.Second, Seed: 1, Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := est.Trace
-	if tr == nil {
-		t.Fatal("CollectTrace set but Estimate.Trace is nil")
-	}
+	tr := col.Trace()
 	if len(tr.Stages) != est.Stages {
 		t.Fatalf("trace has %d stage records, estimate reports %d stages", len(tr.Stages), est.Stages)
 	}

@@ -159,52 +159,30 @@ func (e Experiment) Run(opts RunOptions) ([]Row, error) {
 					<-sem
 					wg.Done()
 				}()
-				seed := opts.BaseSeed + int64(vi*1_000_003+trial)
-				clk := vclock.NewSim(seed, opts.Jitter)
-				if opts.LoadSigma > 0 {
-					clk.SetLoadSigma(opts.LoadSigma)
-				}
-				st := storage.NewStore(clk, opts.Profile, storage.DefaultBlockSize)
-				rng := rand.New(rand.NewSource(seed))
-				expr, initial, truth, err := e.Setup(st, rng)
+				tr, err := e.newTrial(vi, trial, opts)
 				if err != nil {
-					outs[trial] = trialOut{err: fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)}
+					outs[trial] = trialOut{err: err}
 					return
 				}
 				if opts.TruthSink != nil {
-					opts.TruthSink(e.ID, v.Label, trial, truth)
+					opts.TruthSink(e.ID, v.Label, trial, tr.truth)
 				}
-				engOpts := core.Options{
-					Quota:                  e.Quota,
-					Mode:                   core.Overrun,
-					Plan:                   v.Plan,
-					Sampling:               v.Sampling,
-					Initial:                initial,
-					Strategy:               v.Strategy(),
-					Seed:                   seed,
-					PrestoredSelectivities: v.Prestored,
-					Parallelism:            opts.EngineParallel,
-				}
-				if v.Model != nil {
-					bf := storage.DefaultBlockSize / workload.PaperTupleSize
-					engOpts.Model = v.Model(opts.Profile, bf)
-				}
+				eng := e.engineOptions(vi, tr, opts)
 				if opts.TraceSink != nil {
-					engOpts.Tracer = opts.TraceSink(e.ID, v.Label, trial)
+					eng.Tracer = opts.TraceSink(e.ID, v.Label, trial)
 				}
-				engOpts.Metrics = opts.Metrics
-				res, err := core.NewEngine(st).Count(expr, engOpts)
+				res, err := core.NewEngine(tr.st).Count(tr.expr, eng)
 				if err != nil {
 					// A failed trial never reaches EndQuery, so give sinks
 					// tracking live progress (telemetry handles) the chance
 					// to drop it from their in-flight set.
-					if d, ok := engOpts.Tracer.(interface{ Discard() }); ok {
+					if d, ok := eng.Tracer.(interface{ Discard() }); ok {
 						d.Discard()
 					}
 					outs[trial] = trialOut{err: fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)}
 					return
 				}
-				outs[trial] = trialOut{res: res, truth: truth}
+				outs[trial] = trialOut{res: res, truth: tr.truth}
 			}(trial)
 		}
 		wg.Wait()
@@ -254,38 +232,68 @@ func (e Experiment) Run(opts RunOptions) ([]Row, error) {
 // drown the in-query effect.
 func (e Experiment) EvalWall(vi, trial int, opts RunOptions, workers int) (time.Duration, error) {
 	opts = opts.withDefaults()
-	v := e.Variants[vi]
-	seed := opts.BaseSeed + int64(vi*1_000_003+trial)
+	opts.EngineParallel = workers
+	tr, err := e.newTrial(vi, trial, opts)
+	if err != nil {
+		return 0, err
+	}
+	eng := e.engineOptions(vi, tr, opts)
+	start := time.Now()
+	if _, err := core.NewEngine(tr.st).Count(tr.expr, eng); err != nil {
+		return 0, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, e.Variants[vi].Label, trial, err)
+	}
+	return time.Since(start), nil
+}
+
+// trialSetup is one seeded trial of a variant, ready to evaluate: its
+// simulated machine, the query built on it with its first-stage
+// selectivity assumptions, the exact answer, and the trial seed.
+type trialSetup struct {
+	st      *storage.Store
+	expr    ra.Expr
+	initial timectrl.Initials
+	truth   int64
+	seed    int64
+}
+
+// newTrial builds trial t of variant vi: a fresh simulated machine
+// seeded from the run's base seed and the experiment's relations.
+func (e Experiment) newTrial(vi, t int, opts RunOptions) (trialSetup, error) {
+	seed := opts.BaseSeed + int64(vi*1_000_003+t)
 	clk := vclock.NewSim(seed, opts.Jitter)
 	if opts.LoadSigma > 0 {
 		clk.SetLoadSigma(opts.LoadSigma)
 	}
 	st := storage.NewStore(clk, opts.Profile, storage.DefaultBlockSize)
-	rng := rand.New(rand.NewSource(seed))
-	expr, initial, _, err := e.Setup(st, rng)
+	expr, initial, truth, err := e.Setup(st, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return 0, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
+		return trialSetup{}, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, e.Variants[vi].Label, t, err)
 	}
-	engOpts := core.Options{
+	return trialSetup{st: st, expr: expr, initial: initial, truth: truth, seed: seed}, nil
+}
+
+// engineOptions is the one place every harness entry point (Run,
+// EvalWall, the catalog protocol) gets its core.Options from: variant
+// vi's engine settings for trial tr in ERAM (Overrun) mode. Each call
+// builds a fresh strategy and cost model, which carry per-run state.
+func (e Experiment) engineOptions(vi int, tr trialSetup, opts RunOptions) core.Options {
+	v := e.Variants[vi]
+	eng := core.Options{
 		Quota:                  e.Quota,
 		Mode:                   core.Overrun,
 		Plan:                   v.Plan,
 		Sampling:               v.Sampling,
-		Initial:                initial,
+		Initial:                tr.initial,
 		Strategy:               v.Strategy(),
-		Seed:                   seed,
+		Seed:                   tr.seed,
 		PrestoredSelectivities: v.Prestored,
-		Parallelism:            workers,
+		Parallelism:            opts.EngineParallel,
+		Metrics:                opts.Metrics,
 	}
 	if v.Model != nil {
-		bf := storage.DefaultBlockSize / workload.PaperTupleSize
-		engOpts.Model = v.Model(opts.Profile, bf)
+		eng.Model = v.Model(opts.Profile, storage.DefaultBlockSize/workload.PaperTupleSize)
 	}
-	start := time.Now()
-	if _, err := core.NewEngine(st).Count(expr, engOpts); err != nil {
-		return 0, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
-	}
-	return time.Since(start), nil
+	return eng
 }
 
 // Render formats rows as a paper-style text table.

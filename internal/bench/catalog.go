@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -10,10 +9,7 @@ import (
 	"tcq/internal/catalog"
 	"tcq/internal/core"
 	"tcq/internal/stats"
-	"tcq/internal/storage"
 	"tcq/internal/timectrl"
-	"tcq/internal/vclock"
-	"tcq/internal/workload"
 )
 
 // CatalogRow aggregates one variant's cold-run/warm-rerun trials: every
@@ -201,41 +197,20 @@ func (e Experiment) CatalogEvalWall(vi, trial int, opts RunOptions, workers int)
 // catalogTimedTrial is catalogTrial with per-run wall timing.
 func (e Experiment) catalogTimedTrial(vi, trial int, opts RunOptions, stop timectrl.Criterion, coldWall, warmWall *time.Duration) (cold, warm *core.Result, truth int64, cs catalog.Stats, err error) {
 	v := e.Variants[vi]
-	seed := opts.BaseSeed + int64(vi*1_000_003+trial)
-	clk := vclock.NewSim(seed, opts.Jitter)
-	if opts.LoadSigma > 0 {
-		clk.SetLoadSigma(opts.LoadSigma)
-	}
-	st := storage.NewStore(clk, opts.Profile, storage.DefaultBlockSize)
-	rng := rand.New(rand.NewSource(seed))
-	expr, initial, truth, err := e.Setup(st, rng)
+	tr, err := e.newTrial(vi, trial, opts)
 	if err != nil {
-		return nil, nil, 0, cs, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
+		return nil, nil, 0, cs, err
 	}
-	cat := catalog.New(seed)
-	if err := cat.BuildFromStore(st); err != nil {
+	truth = tr.truth
+	cat := catalog.New(tr.seed)
+	if err := cat.BuildFromStore(tr.st); err != nil {
 		return nil, nil, 0, cs, fmt.Errorf("bench %s/%s trial %d: %w", e.ID, v.Label, trial, err)
 	}
 	run := func() (*core.Result, error) {
-		engOpts := core.Options{
-			Quota:                  e.Quota,
-			Mode:                   core.Overrun,
-			Plan:                   v.Plan,
-			Sampling:               v.Sampling,
-			Initial:                initial,
-			Strategy:               v.Strategy(),
-			Stop:                   stop,
-			Seed:                   seed,
-			PrestoredSelectivities: v.Prestored,
-			Parallelism:            opts.EngineParallel,
-			Catalog:                cat,
-			Metrics:                opts.Metrics,
-		}
-		if v.Model != nil {
-			bf := storage.DefaultBlockSize / workload.PaperTupleSize
-			engOpts.Model = v.Model(opts.Profile, bf)
-		}
-		return core.NewEngine(st).Count(expr, engOpts)
+		eng := e.engineOptions(vi, tr, opts)
+		eng.Stop = stop
+		eng.Catalog = cat
+		return core.NewEngine(tr.st).Count(tr.expr, eng)
 	}
 	t0 := time.Now()
 	if cold, err = run(); err != nil {

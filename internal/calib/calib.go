@@ -106,6 +106,10 @@ type shapeCal struct {
 	aborts     int64
 }
 
+// Drift ratios (actual/predicted) land in log2 buckets clamped to
+// [driftLo, driftHi], so pathological ratios stay in the end buckets.
+const driftLo, driftHi = -6, 6
+
 // opCal accumulates one operator kind's drift attribution.
 type opCal struct {
 	stages       int64 // predicted stages where this op dominated
@@ -212,23 +216,6 @@ func (p *Probe) EndQuery(e trace.QueryEnd) {
 // register nothing until the query ends, so this is a no-op; it exists
 // so harnesses that Discard failed trials treat probes uniformly.
 func (p *Probe) Discard() {}
-
-// driftBucket maps an actual/predicted ratio to a log2 bucket index:
-// bucket k counts ratios r with 2^(k-1) < r <= 2^k, clamped to
-// [-6, 6] so pathological ratios stay in the end buckets.
-func driftBucket(r float64) int {
-	if r <= 0 {
-		return -6
-	}
-	k := int(math.Ceil(math.Log2(r)))
-	if k < -6 {
-		k = -6
-	}
-	if k > 6 {
-		k = 6
-	}
-	return k
-}
 
 // DominantOp picks the operator a predicted stage's overshoot is
 // attributed to: the non-base operator with the largest stage output
@@ -348,7 +335,7 @@ func (a *Auditor) finish(label string, gt *Truth, t *trace.QueryTrace) {
 	for _, d := range drifts {
 		sc.driftN++
 		sc.driftSum += d.ratio
-		sc.buckets[driftBucket(d.ratio)]++
+		sc.buckets[trace.Log2Bucket(d.ratio, driftLo, driftHi)]++
 		if d.overshoot > sc.worst {
 			sc.worst = d.overshoot
 			sc.worstStage = d.stage
@@ -363,7 +350,7 @@ func (a *Auditor) finish(label string, gt *Truth, t *trace.QueryTrace) {
 		}
 		oc.stages++
 		oc.driftSum += d.ratio
-		oc.buckets[driftBucket(d.ratio)]++
+		oc.buckets[trace.Log2Bucket(d.ratio, driftLo, driftHi)]++
 		if d.overshoot > 0 {
 			oc.overshootSum += d.overshoot
 		}

@@ -86,7 +86,7 @@ func TestDriftAttribution(t *testing.T) {
 	if o.Stages != 1 || o.DriftMean != 1.5 || o.Worst != 0.5 {
 		t.Fatalf("op drift wrong: %+v", o)
 	}
-	if len(o.DriftBuckets) != 1 || o.DriftBuckets[0].Le != 2 || o.DriftBuckets[0].Count != 1 {
+	if len(o.DriftBuckets) != 1 || o.DriftBuckets[0].Le() != 2 || o.DriftBuckets[0].Count != 1 {
 		t.Fatalf("bucket wrong: %+v", o.DriftBuckets)
 	}
 	s := rep.Shapes[0]
@@ -104,8 +104,8 @@ func TestDriftBucketEdges(t *testing.T) {
 		{0.5, -1}, {0.4, -1}, {1e-9, -6}, {1e9, 6}, {0, -6}, {-1, -6},
 	}
 	for _, c := range cases {
-		if got := driftBucket(c.r); got != c.k {
-			t.Errorf("driftBucket(%v) = %d, want %d", c.r, got, c.k)
+		if got := trace.Log2Bucket(c.r, driftLo, driftHi); got != c.k {
+			t.Errorf("drift bucket of %v = %d, want %d", c.r, got, c.k)
 		}
 	}
 }

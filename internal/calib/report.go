@@ -2,20 +2,13 @@ package calib
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"tcq/internal/stats"
+	"tcq/internal/trace"
 )
-
-// Bucket is one log2 drift-ratio bucket: Count observations with
-// actual/predicted ratio in (Le/2, Le].
-type Bucket struct {
-	Le    float64 `json:"le"`
-	Count int64   `json:"count"`
-}
 
 // ShapeReport is one query shape's calibration summary.
 type ShapeReport struct {
@@ -43,13 +36,13 @@ type ShapeReport struct {
 	// DriftN counts predicted stages; DriftMean the mean
 	// actual/predicted ratio; WorstOvershoot the largest single-stage
 	// overshoot and WorstStage which stage produced it.
-	DriftN         int64    `json:"drift_n"`
-	DriftMean      float64  `json:"drift_mean"`
-	WorstOvershoot float64  `json:"worst_overshoot"`
-	WorstStage     int      `json:"worst_stage,omitempty"`
-	Overspends     int64    `json:"overspends"`
-	Aborts         int64    `json:"aborts"`
-	DriftBuckets   []Bucket `json:"drift_buckets,omitempty"`
+	DriftN         int64          `json:"drift_n"`
+	DriftMean      float64        `json:"drift_mean"`
+	WorstOvershoot float64        `json:"worst_overshoot"`
+	WorstStage     int            `json:"worst_stage,omitempty"`
+	Overspends     int64          `json:"overspends"`
+	Aborts         int64          `json:"aborts"`
+	DriftBuckets   []trace.Bucket `json:"drift_buckets,omitempty"`
 }
 
 // OperatorReport is one operator kind's drift attribution: the stages
@@ -62,9 +55,9 @@ type OperatorReport struct {
 	DriftMean float64 `json:"drift_mean"`
 	// OvershootSum is the summed positive overshoot attributed to the
 	// operator; Worst the largest single-stage overshoot.
-	OvershootSum float64  `json:"overshoot_sum"`
-	Worst        float64  `json:"worst"`
-	DriftBuckets []Bucket `json:"drift_buckets,omitempty"`
+	OvershootSum float64        `json:"overshoot_sum"`
+	Worst        float64        `json:"worst"`
+	DriftBuckets []trace.Bucket `json:"drift_buckets,omitempty"`
 }
 
 // ReasonCount is one flight-capture reason's tally.
@@ -117,20 +110,6 @@ type Report struct {
 	Flight     FlightStats      `json:"flight"`
 }
 
-// sortedBuckets converts a drift bucket map to ascending-bound order.
-func sortedBuckets(m map[int]int64) []Bucket {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	out := make([]Bucket, 0, len(ks))
-	for _, k := range ks {
-		out = append(out, Bucket{Le: math.Exp2(float64(k)), Count: m[k]})
-	}
-	return out
-}
-
 // verdict classifies realized coverage against the nominal level using
 // the Wilson interval: nominal inside → "ok"; otherwise the realized
 // rate is significantly off.
@@ -175,7 +154,7 @@ func (a *Auditor) Report() Report {
 			Overspends:      sc.overspends,
 			Aborts:          sc.aborts,
 			DriftN:          sc.driftN,
-			DriftBuckets:    sortedBuckets(sc.buckets),
+			DriftBuckets:    trace.SortBuckets(sc.buckets),
 		}
 		if sc.truthN > 0 {
 			sr.Nominal = sc.levelSum / float64(sc.truthN)
@@ -201,7 +180,7 @@ func (a *Auditor) Report() Report {
 			Stages:       oc.stages,
 			OvershootSum: oc.overshootSum,
 			Worst:        oc.worst,
-			DriftBuckets: sortedBuckets(oc.buckets),
+			DriftBuckets: trace.SortBuckets(oc.buckets),
 		}
 		if oc.stages > 0 {
 			or.DriftMean = oc.driftSum / float64(oc.stages)
@@ -286,7 +265,7 @@ func RenderReport(r Report) string {
 		if len(s.DriftBuckets) > 0 {
 			fmt.Fprintf(&b, "  ratio buckets:")
 			for _, bk := range s.DriftBuckets {
-				fmt.Fprintf(&b, " le_%g:%d", bk.Le, bk.Count)
+				fmt.Fprintf(&b, " le_%g:%d", bk.Le(), bk.Count)
 			}
 			fmt.Fprintln(&b)
 		}

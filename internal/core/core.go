@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"time"
@@ -152,19 +151,13 @@ type Options struct {
 	MinStageBlocks int
 	// MaxStages caps the stage count (safety valve; default 1000).
 	MaxStages int
-	// OnStage, when non-nil, observes each completed stage's record —
-	// the online-aggregation-style progressive estimate hook.
-	OnStage func(StageRecord)
-	// Trace, when non-nil, receives a human-readable line per stage
-	// decision (selectivities, planned fraction, predicted vs actual
-	// cost) — the debugging view of the time-control algorithm. It is
-	// shorthand for a trace.Text tracer combined with Tracer.
-	Trace io.Writer
 	// Tracer observes the evaluation: one QueryInfo, one StageRecord
 	// per stage (selectivities, chosen fraction, predicted vs actual
 	// cost, per-relation draws, charge counters, estimator state) and
 	// one QueryEnd. Defaults to trace.Nop, whose Enabled() gate lets
-	// the engine skip all record construction.
+	// the engine skip all record construction. It is the engine's only
+	// observer input: callers chain several observers into one before
+	// the call.
 	Tracer trace.Tracer
 	// Metrics, when non-nil, aggregates cross-query observability
 	// counters (stages run, quota overruns, deadline polls, sort/merge
@@ -211,6 +204,9 @@ func (o Options) withDefaults() Options {
 	}
 	if init := (timectrl.Initials{}); o.Initial == init {
 		o.Initial = timectrl.DefaultInitials()
+	}
+	if o.Tracer == nil {
+		o.Tracer = trace.Nop
 	}
 	return o
 }
@@ -419,7 +415,7 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 	// Tracing is read-only with respect to the simulation: it never
 	// charges the clock or consumes sampler randomness, so identically
 	// seeded runs produce identical results whether it is on or off.
-	tracer := trace.Combine(opts.Tracer, textTracer(opts.Trace))
+	tracer := opts.Tracer
 	tracing := tracer.Enabled()
 	startCharges := chargesSnapshot(g.store, env)
 	if tracing {
@@ -666,9 +662,6 @@ func (g *Engine) Count(e ra.Expr, opts Options) (*Result, error) {
 			trec.Interval = est.Interval(opts.Confidence).Half
 			tracer.StageDone(trec)
 		}
-		if opts.OnStage != nil {
-			opts.OnStage(rec)
-		}
 
 		if !inTime {
 			// Overrun mode: the stage finished past the quota. Record the
@@ -820,15 +813,6 @@ func strategyDBeta(s timectrl.Strategy) float64 {
 		return o.DBeta
 	}
 	return 0
-}
-
-// textTracer wraps the legacy Options.Trace writer as a tracer (nil in,
-// nil out — Combine drops it).
-func textTracer(w io.Writer) trace.Tracer {
-	if w == nil {
-		return nil
-	}
-	return trace.NewText(w)
 }
 
 // chargesSnapshot copies the session's cumulative physical counters

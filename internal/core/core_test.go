@@ -14,6 +14,7 @@ import (
 	"tcq/internal/ra"
 	"tcq/internal/storage"
 	"tcq/internal/timectrl"
+	"tcq/internal/trace"
 	"tcq/internal/vclock"
 	"tcq/internal/workload"
 )
@@ -288,26 +289,27 @@ func TestMaxStagesCriterion(t *testing.T) {
 	}
 }
 
-func TestOnStageCallback(t *testing.T) {
+func TestTracerSeesEveryStage(t *testing.T) {
 	g, e := smallSelect(t, 4, 100)
-	var seen []StageRecord
+	col := trace.NewCollector()
 	_, err := g.Count(e, Options{
 		Quota:    time.Hour,
 		Mode:     Overrun,
 		Strategy: &timectrl.Heuristic{Gamma: 0.001},
 		Stop:     timectrl.MaxStages{N: 3},
-		OnStage:  func(r StageRecord) { seen = append(seen, r) },
+		Tracer:   col,
 		Seed:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := col.Trace().Stages
 	if len(seen) != 3 {
-		t.Fatalf("callback saw %d stages, want 3", len(seen))
+		t.Fatalf("tracer saw %d stages, want 3", len(seen))
 	}
 	for i, r := range seen {
-		if r.Index != i+1 {
-			t.Errorf("stage %d has index %d", i, r.Index)
+		if r.Stage != i+1 {
+			t.Errorf("stage %d has index %d", i, r.Stage)
 		}
 		if !r.Completed || r.Blocks < 1 {
 			t.Errorf("stage record %d looks wrong: %+v", i, r)
@@ -629,10 +631,10 @@ func TestTraceWriter(t *testing.T) {
 	g, e := smallSelect(t, 37, 100)
 	var buf bytes.Buffer
 	_, err := g.Count(e, Options{
-		Quota: 3 * time.Second,
-		Mode:  Overrun,
-		Seed:  37,
-		Trace: &buf,
+		Quota:  3 * time.Second,
+		Mode:   Overrun,
+		Seed:   37,
+		Tracer: trace.NewText(&buf),
 	})
 	if err != nil {
 		t.Fatal(err)

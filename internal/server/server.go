@@ -14,11 +14,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"runtime/pprof"
@@ -244,20 +246,6 @@ func rejectStatus(rej *sched.RejectionError) int {
 	}
 }
 
-// parseStrategy maps the wire strategy slug to the engine kind.
-func parseStrategy(s string) (tcq.StrategyKind, error) {
-	switch s {
-	case "", "one-at-a-time":
-		return tcq.OneAtATime, nil
-	case "single-interval":
-		return tcq.SingleInterval, nil
-	case "heuristic":
-		return tcq.Heuristic, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", s)
-	}
-}
-
 // handleQuery serves POST /v1/query. Every request gets a span
 // timeline partitioning its wire-to-wire wall time (decode,
 // admission_wait, plan, per-stage eval, finalize, stream_write, flush)
@@ -291,7 +279,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, wire.ErrorResponse{Error: "exactly one of sql or ra required", Reason: "bad-request"})
 		return
 	}
-	strategy, err := parseStrategy(req.Strategy)
+	strategy, err := tcq.ParseStrategy(cmp.Or(req.Strategy, tcq.OneAtATime.String()))
 	if err != nil {
 		fail(http.StatusBadRequest, wire.ErrorResponse{Error: err.Error(), Reason: "bad-request"})
 		return
@@ -326,11 +314,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	wcet := time.Duration(float64(charge) * (1 + s.cfg.Slack))
 	release, retries, err := s.gate(tenant).AdmitWait(int(id), wcet, s.cfg.TenantWindow, s.cfg.AdmitWait)
 	waited := tl.MarkRetries(telemetry.SpanAdmissionWait, 0, retries)
-	s.reg.Observe(telemetry.Labeled("admission_wait_seconds", "tenant", tenant), waited.Seconds())
+	tenantLabel := trace.Label{Key: "tenant", Value: tenant}
+	s.reg.Observe("admission_wait_seconds", waited.Seconds(), tenantLabel)
 	if err != nil {
 		var rej *sched.RejectionError
 		if errors.As(err, &rej) {
-			s.reg.Add(telemetry.Labeled("server_rejects", "tenant", tenant), 1)
+			s.reg.Add("server_rejects", 1, tenantLabel)
 			if rej.Reason == sched.RejectInfeasible {
 				s.slo.Infeasible(tenant)
 			}
@@ -343,9 +332,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.reg.Add(telemetry.Labeled("server_requests", "tenant", tenant), 1)
+	s.reg.Add("server_requests", 1, tenantLabel)
 	defer func() {
-		s.reg.Observe(telemetry.Labeled("request_seconds", "tenant", tenant), time.Since(start).Seconds())
+		s.reg.Observe("request_seconds", time.Since(start).Seconds(), tenantLabel)
 	}()
 
 	ten := s.cfg.DB.Tenant(tenant)
@@ -359,25 +348,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Parallelism:    req.Parallel,
 		Seed:           req.Seed,
 		Label:          reqID,
-		// The span tracer rides the chain first so each stage's eval
-		// span closes before any stream write attributes its own time.
-		// Both are read-only tracers (§6.2): the response stream is
-		// byte-identical with or without them.
-		Tracer: tl.Tracer(),
-	}
-	if !req.Exact && s.cfg.DB.CalibrationEnabled() {
-		// Keep the full trace so an SLO miss can feed the flight
-		// recorder with the stage-by-stage evidence.
-		opts.CollectTrace = true
 	}
 
 	// Streaming: ride a telemetry.Stream on the query's tracer chain.
 	// Its callback runs synchronously on this handler goroutine at each
 	// stage boundary, so writing + flushing here is race-free.
-	var st *streamWriter
+	var (
+		st     *streamWriter
+		stream *telemetry.Stream
+	)
 	if req.Stream && !req.Exact {
 		st = newStreamWriter(w, r, tl)
-		opts.Tracer = trace.Combine(opts.Tracer, telemetry.NewStream(opts.Label, func(p tcq.QueryProgress, done bool) {
+		stream = telemetry.NewStream(opts.Label, func(p tcq.QueryProgress, done bool) {
 			if done {
 				return // the result event carries the terminal state
 			}
@@ -391,15 +373,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Elapsed:   p.Elapsed,
 				SpentFrac: p.SpentFrac,
 			})
-		}))
+		})
 	}
+	// With calibration on, keep the full trace so an SLO miss can feed
+	// the flight recorder with the stage-by-stage evidence.
+	var col *trace.Collector
+	if !req.Exact && s.cfg.DB.CalibrationEnabled() {
+		col = trace.NewCollector()
+	}
+	// The span tracer rides the chain first so each stage's eval span
+	// closes before any stream write attributes its own time. All are
+	// read-only tracers (§6.2): the response stream is byte-identical
+	// with or without them; nil ones are dropped.
+	opts.Tracer = trace.Combine(tl.Tracer(), stream, col)
 
 	// Label the request's goroutine for CPU profiles: /debug/pprof
 	// samples segment by tenant and query, the cross-tenant fairness
 	// lens the admission windows alone cannot give.
 	var (
 		ev   wire.Event
-		est  *tcq.Estimate
 		qerr error
 	)
 	qtext := req.SQL
@@ -407,7 +399,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qtext = req.RA
 	}
 	pprof.Do(r.Context(), pprof.Labels("tenant", tenant, "query", truncateLabel(qtext, 64)), func(context.Context) {
-		ev, est, qerr = s.execute(ten, req, opts)
+		ev, qerr = s.execute(ten, req, opts)
 	})
 	if qerr != nil {
 		if st != nil && st.started {
@@ -433,8 +425,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if ev.Overspent || time.Since(start) > quota {
 			dominant, _ := tl.Dominant()
 			s.slo.Miss(tenant, dominant)
-			if est != nil && est.Trace != nil {
-				s.cfg.DB.CaptureFlight(tenant+"/"+reqID, "dominant="+dominant, []string{calib.ReasonSLOMiss}, *est.Trace)
+			if col != nil {
+				s.cfg.DB.CaptureFlight(tenant+"/"+reqID, "dominant="+dominant, []string{calib.ReasonSLOMiss}, *col.Trace())
 			}
 		} else {
 			s.slo.Hit(tenant)
@@ -476,30 +468,29 @@ func spansEvent(reqID string, tl *telemetry.SpanTimeline) wire.Event {
 }
 
 // execute runs the decoded query under the tenant view and builds the
-// terminal result event; for time-constrained queries it also returns
-// the engine estimate so the caller can inspect the collected trace.
-func (s *Server) execute(ten *tcq.Tenant, req wire.QueryRequest, opts tcq.EstimateOptions) (wire.Event, *tcq.Estimate, error) {
+// terminal result event.
+func (s *Server) execute(ten *tcq.Tenant, req wire.QueryRequest, opts tcq.EstimateOptions) (wire.Event, error) {
 	if req.Exact {
 		if req.RA != "" {
 			q, err := tcq.Parse(req.RA)
 			if err != nil {
-				return wire.Event{}, nil, err
+				return wire.Event{}, err
 			}
 			n, err := ten.DB().Count(q)
 			if err != nil {
-				return wire.Event{}, nil, err
+				return wire.Event{}, err
 			}
-			return wire.Event{Event: "result", Kind: "count", Value: float64(n), Exact: true}, nil, nil
+			return wire.Event{Event: "result", Kind: "count", Value: float64(n), Exact: true}, nil
 		}
 		res, err := ten.ExecSQL(req.SQL)
 		if err != nil {
-			return wire.Event{}, nil, err
+			return wire.Event{}, err
 		}
 		ev := wire.Event{Event: "result", Kind: res.Kind, Value: res.Value, Exact: true}
 		for _, g := range res.Groups {
 			ev.Groups = append(ev.Groups, wire.Group{Key: g.Key, Value: g.Value})
 		}
-		return ev, nil, nil
+		return ev, nil
 	}
 
 	var (
@@ -509,15 +500,15 @@ func (s *Server) execute(ten *tcq.Tenant, req wire.QueryRequest, opts tcq.Estima
 	if req.RA != "" {
 		var q tcq.Query
 		if q, err = tcq.Parse(req.RA); err != nil {
-			return wire.Event{}, nil, err
+			return wire.Event{}, err
 		}
 		var est *tcq.Estimate
 		if est, err = ten.CountEstimate(q, opts); err != nil {
-			return wire.Event{}, nil, err
+			return wire.Event{}, err
 		}
 		res = &tcq.SQLResult{Kind: "count", Value: est.Value, Estimate: est}
 	} else if res, err = ten.EstimateSQL(req.SQL, opts); err != nil {
-		return wire.Event{}, nil, err
+		return wire.Event{}, err
 	}
 
 	ev := wire.Event{Event: "result", Kind: res.Kind, Value: res.Value}
@@ -537,7 +528,7 @@ func (s *Server) execute(ten *tcq.Tenant, req wire.QueryRequest, opts tcq.Estima
 	for _, g := range res.Groups {
 		ev.Groups = append(ev.Groups, wire.Group{Key: g.Key, Value: g.Value, StdErr: g.StdErr, Interval: g.Interval})
 	}
-	return ev, res.Estimate, nil
+	return ev, nil
 }
 
 // streamWriter frames events as NDJSON (one JSON object per line) or,
@@ -600,31 +591,29 @@ func (ss serverSource) Calibration() tcq.CalibrationReport  { return ss.s.cfg.DB
 func (ss serverSource) FlightRecords() []tcq.FlightRecord   { return ss.s.cfg.DB.FlightRecords() }
 func (ss serverSource) SLO() telemetry.SLOReport            { return ss.s.slo.Report() }
 
-// mergeSnapshots overlays b onto a (keys are disjoint in practice: the
-// engine registry never emits server_* or tenant-labeled keys).
+// mergeSnapshots overlays b onto a (series are disjoint in practice:
+// the engine registry never emits server_* series). Snapshot maps are
+// never nil, so the clones are writable.
 func mergeSnapshots(a, b trace.Snapshot) trace.Snapshot {
 	out := trace.Snapshot{
-		Counters:   make(map[string]int64, len(a.Counters)+len(b.Counters)),
-		Gauges:     make(map[string]float64, len(a.Gauges)+len(b.Gauges)),
-		Histograms: make(map[string]trace.HistogramStat, len(a.Histograms)+len(b.Histograms)),
-	}
-	for k, v := range a.Counters {
-		out.Counters[k] = v
+		Counters:   maps.Clone(a.Counters),
+		Gauges:     maps.Clone(a.Gauges),
+		Histograms: maps.Clone(a.Histograms),
+		Labeled: trace.LabeledSeries{
+			Counters:   maps.Clone(a.Labeled.Counters),
+			Gauges:     maps.Clone(a.Labeled.Gauges),
+			Histograms: maps.Clone(a.Labeled.Histograms),
+		},
 	}
 	for k, v := range b.Counters {
 		out.Counters[k] += v
 	}
-	for k, v := range a.Gauges {
-		out.Gauges[k] = v
+	for k, v := range b.Labeled.Counters {
+		out.Labeled.Counters[k] += v
 	}
-	for k, v := range b.Gauges {
-		out.Gauges[k] = v
-	}
-	for k, v := range a.Histograms {
-		out.Histograms[k] = v
-	}
-	for k, v := range b.Histograms {
-		out.Histograms[k] = v
-	}
+	maps.Copy(out.Gauges, b.Gauges)
+	maps.Copy(out.Labeled.Gauges, b.Labeled.Gauges)
+	maps.Copy(out.Histograms, b.Histograms)
+	maps.Copy(out.Labeled.Histograms, b.Labeled.Histograms)
 	return out
 }

@@ -18,11 +18,12 @@ import (
 	"tcq"
 	"tcq/internal/client"
 	"tcq/internal/telemetry"
+	"tcq/internal/trace"
 	"tcq/internal/wire"
 )
 
 // testDB builds a deterministic single-relation database.
-func testDB(t *testing.T, opts ...tcq.Option) *tcq.DB {
+func testDB(t testing.TB, opts ...tcq.Option) *tcq.DB {
 	t.Helper()
 	if len(opts) == 0 {
 		opts = []tcq.Option{tcq.WithSimulatedClock(1), tcq.WithTelemetry(64)}
@@ -188,19 +189,19 @@ func TestConcurrentClientsMatchSerialReplay(t *testing.T) {
 	snap := srv.Registry().Snapshot()
 	var total int64
 	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("server_requests|tenant=tenant%d", i)
-		if got := snap.Counters[k]; got != 8 {
+		k := trace.Key{Name: "server_requests", Label: trace.Label{Key: "tenant", Value: fmt.Sprintf("tenant%d", i)}}
+		if got := snap.Labeled.Counters[k]; got != 8 {
 			t.Errorf("%s = %d, want 8", k, got)
 		}
-		total += snap.Counters[k]
+		total += snap.Labeled.Counters[k]
 	}
 	if total != n {
 		t.Errorf("per-tenant request sum %d, want %d", total, n)
 	}
 	dbSnap := db.Metrics()
 	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("tenant_queries|tenant=tenant%d", i)
-		if got := dbSnap.Counters[k]; got != 8 {
+		k := trace.Key{Name: "tenant_queries", Label: trace.Label{Key: "tenant", Value: fmt.Sprintf("tenant%d", i)}}
+		if got := dbSnap.Labeled.Counters[k]; got != 8 {
 			t.Errorf("%s = %d, want 8", k, got)
 		}
 	}

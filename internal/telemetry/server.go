@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -386,118 +385,89 @@ func helpFor(key string) string {
 // writeProm renders a metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4). Counters become tcq_<name>_total,
 // gauges tcq_<name>, and the registry's log2-bucket histograms proper
-// Prometheus histograms with cumulative le buckets. Registry keys
-// built with Labeled ("name|k=v,...") render as label sets on the base
-// family, so per-tenant series share one family. Every family is
-// preceded by its # HELP and # TYPE lines exactly once; families are
-// emitted in lexical base-name order per kind, series within a family
-// in lexical label order (unlabeled first), so output for equal state
-// is byte-identical — and identical to the pre-label renderer when no
-// key carries labels. inflight is the progress registry's live
-// occupancy, exported as tcq_telemetry_queries_in_flight (distinct
-// from any engine-maintained queries_in_flight gauge in the snapshot).
+// Prometheus histograms with cumulative le buckets. A labeled series
+// renders its label as a Prometheus label set on the base family, so
+// per-tenant series share one family. Every family is preceded by its
+// # HELP and # TYPE lines exactly once; families are emitted in
+// lexical name order per kind, series within a family in label order
+// (unlabeled first), so output for equal state is byte-identical.
+// inflight is the progress registry's live occupancy, exported as
+// tcq_telemetry_queries_in_flight (distinct from any engine-maintained
+// queries_in_flight gauge in the snapshot).
 func writeProm(w io.Writer, snap trace.Snapshot, inflight int) {
-	for _, fam := range promFamilies(snap.Counters) {
-		name := promName(fam.base) + "_total"
-		fmt.Fprintf(w, "# HELP %s %s\n", name, helpFor(fam.base))
-		fmt.Fprintf(w, "# TYPE %s counter\n", name)
-		for _, s := range fam.series {
-			fmt.Fprintf(w, "%s%s %d\n", name, s.labels, snap.Counters[s.key])
+	for _, fam := range promFamilies(trace.Samples(snap.Counters, snap.Labeled.Counters)) {
+		name := promName(fam[0].Key.Name) + "_total"
+		promHeader(w, name, fam[0].Key.Name, "counter")
+		for _, c := range fam {
+			fmt.Fprintf(w, "%s%s %d\n", name, promLabels(c.Key.Label, ""), c.Value)
 		}
 	}
-	fmt.Fprintf(w, "# HELP tcq_telemetry_queries_in_flight %s\n", helpFor("telemetry_queries_in_flight"))
-	fmt.Fprintf(w, "# TYPE tcq_telemetry_queries_in_flight gauge\n")
+	promHeader(w, "tcq_telemetry_queries_in_flight", "telemetry_queries_in_flight", "gauge")
 	fmt.Fprintf(w, "tcq_telemetry_queries_in_flight %d\n", inflight)
-	for _, fam := range promFamilies(snap.Gauges) {
-		name := promName(fam.base)
-		fmt.Fprintf(w, "# HELP %s %s\n", name, helpFor(fam.base))
-		fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-		for _, s := range fam.series {
-			fmt.Fprintf(w, "%s%s %s\n", name, s.labels, promFloat(snap.Gauges[s.key]))
+	for _, fam := range promFamilies(trace.Samples(snap.Gauges, snap.Labeled.Gauges)) {
+		name := promName(fam[0].Key.Name)
+		promHeader(w, name, fam[0].Key.Name, "gauge")
+		for _, g := range fam {
+			fmt.Fprintf(w, "%s%s %s\n", name, promLabels(g.Key.Label, ""), promFloat(g.Value))
 		}
 	}
-	for _, fam := range promFamilies(snap.Histograms) {
-		name := promName(fam.base)
-		fmt.Fprintf(w, "# HELP %s %s\n", name, helpFor(fam.base))
-		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-		for _, s := range fam.series {
-			h := snap.Histograms[s.key]
-			// Histogram series merge the le label into any key labels:
-			// {tenant="a",le="2"}.
-			extra := ""
-			if s.labels != "" {
-				extra = strings.TrimSuffix(strings.TrimPrefix(s.labels, "{"), "}") + ","
-			}
+	for _, fam := range promFamilies(trace.Samples(snap.Histograms, snap.Labeled.Histograms)) {
+		name := promName(fam[0].Key.Name)
+		promHeader(w, name, fam[0].Key.Name, "histogram")
+		for _, s := range fam {
+			h, l := s.Value, s.Key.Label
 			var cum int64
-			for _, b := range promBuckets(h.Buckets) {
-				cum += b.count
-				fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, extra, promFloat(b.le), cum)
+			for _, b := range h.Buckets {
+				cum += b.Count
+				fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(l, promFloat(b.Le())), cum)
 			}
-			fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extra, h.Count)
-			fmt.Fprintf(w, "%s_sum%s %s\n", name, s.labels, promFloat(h.Sum))
-			fmt.Fprintf(w, "%s_count%s %d\n", name, s.labels, h.Count)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(l, "+Inf"), h.Count)
+			fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(l, ""), promFloat(h.Sum))
+			fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(l, ""), h.Count)
 		}
 	}
 }
 
-// promSeries is one sample line inside a family: the registry key it
-// reads from plus its rendered label set ("" or `{k="v",...}`).
-type promSeries struct {
-	key    string
-	labels string
+// promHeader writes a family's # HELP and # TYPE lines.
+func promHeader(w io.Writer, name, key, kind string) {
+	fmt.Fprintf(w, "# HELP %s %s\n", name, helpFor(key))
+	fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
 }
 
-// promFamily groups every series sharing one base metric name.
-type promFamily struct {
-	base   string
-	series []promSeries
-}
-
-// promFamilies groups a snapshot map's keys into label families: the
-// key's base name (before any Labeled separator) names the family, the
-// remainder renders as Prometheus labels. Families sort by base name,
-// series within a family by rendered labels (unlabeled first), so the
-// exposition is deterministic.
-func promFamilies[V any](m map[string]V) []promFamily {
-	byBase := make(map[string]*promFamily)
-	for key := range m {
-		base, spec, _ := strings.Cut(key, labelSep)
-		fam := byBase[base]
-		if fam == nil {
-			fam = &promFamily{base: base}
-			byBase[base] = fam
+// promFamilies splits name-ordered samples into families sharing a
+// metric name.
+func promFamilies[V any](samples []trace.Sample[V]) [][]trace.Sample[V] {
+	var fams [][]trace.Sample[V]
+	for i, s := range samples {
+		if i > 0 && samples[i-1].Key.Name == s.Key.Name {
+			fams[len(fams)-1] = append(fams[len(fams)-1], s)
+			continue
 		}
-		fam.series = append(fam.series, promSeries{key: key, labels: promLabels(spec)})
+		fams = append(fams, []trace.Sample[V]{s})
 	}
-	out := make([]promFamily, 0, len(byBase))
-	for _, fam := range byBase {
-		sort.Slice(fam.series, func(i, j int) bool { return fam.series[i].labels < fam.series[j].labels })
-		out = append(out, *fam)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
-	return out
+	return fams
 }
 
-// promLabels renders a Labeled key's "k=v,k2=v2" spec as a Prometheus
-// label set, escaping values via strconv.Quote.
-func promLabels(spec string) string {
-	if spec == "" {
+// promLabels renders a series' label set: the series label (if any)
+// and, for histogram bucket lines, the le bound — `{tenant="a",le="2"}`,
+// or "" when both are absent. Values are escaped as the exposition
+// format requires (backslash, double quote and newline).
+func promLabels(l trace.Label, le string) string {
+	var pairs []string
+	if l != (trace.Label{}) {
+		pairs = append(pairs, promLabelName(l.Key)+`="`+promEscaper.Replace(l.Value)+`"`)
+	}
+	if le != "" {
+		pairs = append(pairs, `le="`+le+`"`)
+	}
+	if len(pairs) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, pair := range strings.Split(spec, ",") {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		b.WriteString(promLabelName(k))
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(v))
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + strings.Join(pairs, ",") + "}"
 }
+
+// promEscaper escapes a label value for the text exposition format.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // promName maps a registry key to a legal Prometheus metric name under
 // the tcq_ namespace.
@@ -524,33 +494,3 @@ func promLabelName(s string) string {
 
 // promFloat formats a float the exposition format accepts.
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-type promBucket struct {
-	le    float64
-	count int64
-}
-
-// promBuckets converts the registry's sparse "le_<bound>" bucket map to
-// ascending-bound order for cumulative rendering.
-func promBuckets(m map[string]int64) []promBucket {
-	out := make([]promBucket, 0, len(m))
-	for k, n := range m {
-		bound, err := strconv.ParseFloat(strings.TrimPrefix(k, "le_"), 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, promBucket{le: bound, count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].le < out[j].le })
-	return out
-}
-
-// sortedKeys returns m's keys in lexical order.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -159,16 +159,17 @@ func TestWriteJSONErrors(t *testing.T) {
 	}
 }
 
-// Labeled keys must render as Prometheus label sets sharing one
-// family: one HELP/TYPE block, one series per label set, deterministic
+// Labeled series must render as Prometheus label sets sharing one
+// family: one HELP/TYPE block, one series per label, deterministic
 // order, and unlabeled families byte-identical to the pre-label
 // renderer.
 func TestMetricsLabeledSeries(t *testing.T) {
 	src := testSource()
-	src.Reg.Add(Labeled("tenant_queries", "tenant", "alice"), 5)
-	src.Reg.Add(Labeled("tenant_queries", "tenant", "bob"), 2)
-	src.Reg.SetGauge(Labeled("tenant_window", "tenant", "alice"), 1.5)
-	src.Reg.Observe(Labeled("request_seconds", "tenant", "alice"), 0.5)
+	alice := trace.Label{Key: "tenant", Value: "alice"}
+	src.Reg.Add("tenant_queries", 5, alice)
+	src.Reg.Add("tenant_queries", 2, trace.Label{Key: "tenant", Value: "bob"})
+	src.Reg.SetGauge("tenant_window", 1.5, alice)
+	src.Reg.Observe("request_seconds", 0.5, alice)
 
 	srv := httptest.NewServer(Handler(src))
 	defer srv.Close()
@@ -201,20 +202,26 @@ func TestMetricsLabeledSeries(t *testing.T) {
 	}
 }
 
-// Labeled is the key builder: no pairs → bare name; pairs join with
-// the separator the renderer splits on.
-func TestLabeledKeyBuilder(t *testing.T) {
-	for _, tc := range []struct {
-		kv   []string
-		want string
-	}{
-		{nil, "queries"},
-		{[]string{"tenant"}, "queries"}, // dangling key ignored
-		{[]string{"tenant", "a"}, "queries|tenant=a"},
-		{[]string{"tenant", "a", "shard", "0"}, "queries|tenant=a,shard=0"},
+// Label values are data: separators, quotes and backslashes inside a
+// value must stay inside one escaped label, never add a label or
+// duplicate le.
+func TestMetricsLabelValuesEscaped(t *testing.T) {
+	src := testSource()
+	for _, v := range []string{"a,evil=1", "b,le=9", `x"y\z`, "multi\nline"} {
+		src.Reg.Observe("request_seconds", 0.5, trace.Label{Key: "tenant", Value: v})
+	}
+	srv := httptest.NewServer(Handler(src))
+	defer srv.Close()
+	_, body := get(t, srv, "/metrics")
+	checkPromExposition(t, body)
+	for _, want := range []string{
+		`tcq_request_seconds_bucket{tenant="a,evil=1",le="1"} 1`,
+		`tcq_request_seconds_bucket{tenant="b,le=9",le="1"} 1`,
+		`tcq_request_seconds_count{tenant="x\"y\\z"} 1`,
+		`tcq_request_seconds_count{tenant="multi\nline"} 1`,
 	} {
-		if got := Labeled("queries", tc.kv...); got != tc.want {
-			t.Errorf("Labeled(queries, %v) = %q, want %q", tc.kv, got, tc.want)
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
 }

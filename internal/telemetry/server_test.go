@@ -52,8 +52,13 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// promLine matches one sample line of the text exposition format.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z0-9_]+="[^"]*"(,[a-zA-Z0-9_]+="[^"]*")*\})? (NaN|[-+]?Inf|[-+]?[0-9.eE+-]+)$`)
+// promLine matches one sample line of the text exposition format
+// (label values may carry the \\, \" and \n escapes); promLabel
+// extracts its label names.
+var (
+	promLine  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? (NaN|[-+]?Inf|[-+]?[0-9.eE+-]+)$`)
+	promLabel = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\\n]|\\[\\"n])*"`)
+)
 
 // checkPromExposition validates body against the Prometheus text
 // format: every line is a comment or a sample, histograms carry
@@ -76,6 +81,13 @@ func checkPromExposition(t *testing.T, body string) {
 		}
 		if !promLine.MatchString(line) {
 			t.Errorf("invalid exposition sample line: %q", line)
+		}
+		seen := map[string]bool{}
+		for _, m := range promLabel.FindAllStringSubmatch(line, -1) {
+			if seen[m[1]] {
+				t.Errorf("duplicate label %q in sample line: %q", m[1], line)
+			}
+			seen[m[1]] = true
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
 		base := name

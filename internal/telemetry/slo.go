@@ -90,8 +90,8 @@ func (s *SLO) Hit(tenant string) {
 	s.mu.Unlock()
 	if s.reg != nil {
 		s.reg.Update(func(tx trace.Tx) {
-			tx.Add(Labeled("slo_hits", "tenant", tenant), 1)
-			tx.SetGauge(Labeled("slo_budget_burn", "tenant", tenant), burn)
+			tx.Add("slo_hits", 1, trace.Label{Key: "tenant", Value: tenant})
+			tx.SetGauge("slo_budget_burn", burn, trace.Label{Key: "tenant", Value: tenant})
 		})
 	}
 }
@@ -112,9 +112,9 @@ func (s *SLO) Miss(tenant, dominant string) {
 	s.mu.Unlock()
 	if s.reg != nil {
 		s.reg.Update(func(tx trace.Tx) {
-			tx.Add(Labeled("slo_misses", "tenant", tenant), 1)
-			tx.Add(Labeled("slo_miss_span", "span", dominant), 1)
-			tx.SetGauge(Labeled("slo_budget_burn", "tenant", tenant), burn)
+			tx.Add("slo_misses", 1, trace.Label{Key: "tenant", Value: tenant})
+			tx.Add("slo_miss_span", 1, trace.Label{Key: "span", Value: dominant})
+			tx.SetGauge("slo_budget_burn", burn, trace.Label{Key: "tenant", Value: tenant})
 		})
 	}
 }
@@ -129,7 +129,7 @@ func (s *SLO) Infeasible(tenant string) {
 	s.tenant(tenant).infeasible++
 	s.mu.Unlock()
 	if s.reg != nil {
-		s.reg.Add(Labeled("slo_infeasible", "tenant", tenant), 1)
+		s.reg.Add("slo_infeasible", 1, trace.Label{Key: "tenant", Value: tenant})
 	}
 }
 

@@ -1,41 +1,6 @@
 package telemetry
 
-import (
-	"strings"
-
-	"tcq/internal/trace"
-)
-
-// labelSep separates a metric's base name from its label spec inside
-// registry keys built by Labeled. '|' cannot appear in plain metric
-// names, so unlabeled keys are never mis-split.
-const labelSep = "|"
-
-// Labeled builds a metrics-registry key carrying Prometheus-style
-// labels: Labeled("queries", "tenant", "alice") yields
-// "queries|tenant=alice", which /metrics renders as
-// tcq_queries_total{tenant="alice"} under the tcq_queries family —
-// one HELP/TYPE block, one series per label set. kv lists
-// key/value pairs; label keys should be fixed strings, values may be
-// arbitrary (they are quoted on exposition). Use a stable pair order
-// at every call site: the key is an opaque registry string, so
-// "a=1,b=2" and "b=2,a=1" would count separately.
-func Labeled(name string, kv ...string) string {
-	if len(kv) < 2 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	sep := labelSep
-	for i := 0; i+1 < len(kv); i += 2 {
-		b.WriteString(sep)
-		sep = ","
-		b.WriteString(kv[i])
-		b.WriteByte('=')
-		b.WriteString(kv[i+1])
-	}
-	return b.String()
-}
+import "tcq/internal/trace"
 
 // Stream adapts the progress-tracking machinery into a push feed: it
 // implements trace.Tracer like a Registry handle, but instead of

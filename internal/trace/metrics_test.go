@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,8 +27,9 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if h.Count != 4 || h.Min != 0.5 || h.Max != 100 || h.Sum != 104.5 {
 		t.Errorf("histogram = %+v", h)
 	}
-	if h.Buckets["le_1"] != 2 || h.Buckets["le_4"] != 1 || h.Buckets["le_128"] != 1 {
-		t.Errorf("buckets = %v", h.Buckets)
+	want := []Bucket{{K: 0, Count: 2}, {K: 2, Count: 1}, {K: 7, Count: 1}}
+	if !reflect.DeepEqual(h.Buckets, want) {
+		t.Errorf("buckets = %v, want %v", h.Buckets, want)
 	}
 }
 

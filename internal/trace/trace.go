@@ -222,8 +222,8 @@ type Collector struct {
 // NewCollector creates an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Enabled implements Tracer.
-func (c *Collector) Enabled() bool { return true }
+// Enabled implements Tracer (a nil collector is disabled).
+func (c *Collector) Enabled() bool { return c != nil }
 
 // BeginQuery implements Tracer.
 func (c *Collector) BeginQuery(q QueryInfo) { c.t.Info = q }
@@ -273,12 +273,15 @@ func (m Multi) EndQuery(e QueryEnd) {
 	}
 }
 
-// Combine merges tracers, dropping nils and Nops; it returns Nop when
-// nothing remains.
+// Combine merges tracers in order, dropping nils and disabled tracers
+// (Nop, and the typed-nil handles, probes and streams an observer
+// hands out when it is switched off); it returns Nop when nothing
+// remains. A disabled tracer never receives callbacks, in a chain or
+// alone.
 func Combine(ts ...Tracer) Tracer {
 	var out Multi
 	for _, t := range ts {
-		if t == nil || t == Nop {
+		if t == nil || !t.Enabled() {
 			continue
 		}
 		out = append(out, t)
@@ -293,8 +296,8 @@ func Combine(ts ...Tracer) Tracer {
 }
 
 // Text is a human-readable tracer: one block of lines per stage (the
-// debugging view of the time-control algorithm, formerly the engine's
-// Trace io.Writer output).
+// debugging view of the time-control algorithm, e.g. tcqsh's
+// \trace on).
 type Text struct {
 	W io.Writer
 }

@@ -71,6 +71,12 @@ func TestCombine(t *testing.T) {
 	if got := Combine(nil, c, Nop); got != Tracer(c) {
 		t.Errorf("Combine should unwrap a single tracer, got %T", got)
 	}
+	// Disabled tracers (a typed-nil collector, a writer-less Text) are
+	// dropped like nils, so a switched-off observer costs no chain.
+	var off *Collector
+	if got := Combine(off, NewText(nil), c); got != Tracer(c) {
+		t.Errorf("Combine should drop disabled tracers, got %T", got)
+	}
 	c2 := NewCollector()
 	m := Combine(c, c2)
 	if !m.Enabled() {

@@ -31,6 +31,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# perfbench/ is a nested module (the repo benchmark) importing tcq and
+# its internal packages; the root ./... patterns above skip it, so an
+# API change that breaks the benchmark would otherwise pass this gate.
+echo "== perfbench vet + build"
+(cd perfbench && go vet ./... && go build ./...)
+
 echo "== go test -race"
 go test -race ./...
 
@@ -42,7 +48,7 @@ go test -race ./...
 # failure in exactly the code where interleavings matter.
 echo "== go test -race -count=1 (concurrency surfaces)"
 go test -race -count=1 \
-  -run 'Concurrent|Parallel|Controller|Registry|Telemetry|Metrics|Serve|Lane|SubTerm|HardDeadline|Calib|Flight|Coverage|Ring|Wilson|Catalog|Stream|Drain|Reject|Tenant|SSE|Span|SLO|Retry|AdmitWait|Admission|NonStreaming' \
+  -run 'Concurrent|Parallel|Controller|Registry|Telemetry|Metrics|Serve|Lane|SubTerm|HardDeadline|Calib|Flight|Coverage|Ring|Wilson|Catalog|Stream|Drain|Reject|Tenant|SSE|Span|SLO|Retry|AdmitWait|Admission|NonStreaming|TracerSeesEveryStage|LabelValuesEscaped|LabelInjection|FuzzQueryHandler' \
   . ./internal/sched ./internal/trace ./internal/telemetry ./internal/calib \
   ./internal/stats ./internal/exec ./internal/core ./internal/bench \
   ./internal/catalog ./internal/server ./internal/client

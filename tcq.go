@@ -545,8 +545,16 @@ type StageTrace = trace.StageRecord
 type QueryTrace = trace.QueryTrace
 
 // MetricsSnapshot is a point-in-time copy of the session's aggregate
-// metrics.
+// metrics: unlabeled series by name, per-tenant series under Labeled
+// by MetricKey.
 type MetricsSnapshot = trace.Snapshot
+
+// MetricKey names one labeled metric series: a metric name plus its
+// typed label.
+type MetricKey = trace.Key
+
+// MetricLabel is a series' typed key/value label (tenant="alice").
+type MetricLabel = trace.Label
 
 // Metrics returns a snapshot of the session-wide metrics registry:
 // counters (queries, stages, quota_overruns, blocks_read, comparisons,
@@ -562,6 +570,17 @@ func (db *DB) ResetMetrics() { db.metrics.Reset() }
 // estimate: stage count, fraction of quota spent, per-relation coverage
 // and the running estimate ± CI half-width.
 type QueryProgress = telemetry.QueryProgress
+
+// Stream is the progressive-estimate observer: passed as
+// EstimateOptions.Tracer, it calls its callback with the cumulative
+// QueryProgress after every completed stage (done=false) and once more
+// when the query ends (done=true). It needs no WithTelemetry.
+type Stream = telemetry.Stream
+
+// NewStream builds a Stream; label tags the emitted snapshots.
+func NewStream(label string, fn func(p QueryProgress, done bool)) *Stream {
+	return telemetry.NewStream(label, fn)
+}
 
 // RelationProgress is one relation's cumulative sampled share inside a
 // QueryProgress.

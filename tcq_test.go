@@ -283,12 +283,19 @@ func TestCountEstimateStrategies(t *testing.T) {
 
 func TestCountEstimateProgressCallback(t *testing.T) {
 	db := demoDB(t, 1000, 0)
-	var stages []Progress
-	_, err := db.CountEstimate(Rel("orders").Where(Col("amount").Lt(100)),
+	var stages []QueryProgress
+	ends := 0
+	est, err := db.CountEstimate(Rel("orders").Where(Col("amount").Lt(100)),
 		EstimateOptions{
-			Quota:      4 * time.Second,
-			OnProgress: func(p Progress) { stages = append(stages, p) },
-			Seed:       5,
+			Quota: 4 * time.Second,
+			Tracer: NewStream("", func(p QueryProgress, done bool) {
+				if done {
+					ends++
+					return
+				}
+				stages = append(stages, p)
+			}),
+			Seed: 5,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +303,19 @@ func TestCountEstimateProgressCallback(t *testing.T) {
 	if len(stages) < 1 {
 		t.Fatal("no progress callbacks")
 	}
+	if ends != 1 {
+		t.Errorf("stream ended %d times, want 1", ends)
+	}
 	for i, p := range stages {
-		if p.Stage != i+1 || p.Blocks < 1 || p.Spent <= 0 {
+		if p.Stages != i+1 || p.Blocks < 1 || p.Elapsed <= 0 {
 			t.Errorf("progress %d looks wrong: %+v", i, p)
 		}
+		if i > 0 && (p.Blocks <= stages[i-1].Blocks || p.Elapsed <= stages[i-1].Elapsed) {
+			t.Errorf("progress %d is not cumulative: %+v after %+v", i, p, stages[i-1])
+		}
+	}
+	if last := stages[len(stages)-1]; est.Stages == last.Stages && last.Estimate != est.Value {
+		t.Errorf("last in-quota progress %.1f differs from the estimate %.1f", last.Estimate, est.Value)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Live-telemetry integration: a query held mid-flight (blocked in its
-// OnProgress callback after stage 1) must be visible, stage by stage,
+// progress Stream callback after stage 1) must be visible, stage by stage,
 // through DB.InFlight and the HTTP /queries endpoint, while /metrics
 // serves a valid Prometheus exposition — and the query's result must be
 // identical to an untelemetered run (the read-only contract).
@@ -70,13 +70,13 @@ func TestTelemetryServesLiveQueryProgress(t *testing.T) {
 		est, err := db.CountEstimate(q, tcq.EstimateOptions{
 			Quota: 10 * time.Second,
 			Seed:  7,
-			OnProgress: func(p tcq.Progress) {
+			Tracer: tcq.NewStream("", func(tcq.QueryProgress, bool) {
 				if !once {
 					once = true
 					close(stageReached)
 					<-release // hold the query in flight mid-evaluation
 				}
-			},
+			}),
 		})
 		if err != nil {
 			t.Error(err)

@@ -1,6 +1,6 @@
 package tcq
 
-import "tcq/internal/telemetry"
+import "tcq/internal/trace"
 
 // Tenant is a tenant-scoped view of a DB: the same shared store and
 // engine, with every query stamped with the tenant's name so telemetry
@@ -51,7 +51,7 @@ func (t *Tenant) count() {
 	if t.name == "" {
 		return
 	}
-	t.db.metrics.Add(telemetry.Labeled("tenant_queries", "tenant", t.name), 1)
+	t.db.metrics.Add("tenant_queries", 1, trace.Label{Key: "tenant", Value: t.name})
 }
 
 // CountEstimate is DB.CountEstimate under the tenant label.

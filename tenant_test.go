@@ -3,7 +3,6 @@
 package tcq_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -61,10 +60,10 @@ func TestTenantScopedQueries(t *testing.T) {
 
 	// Per-tenant counters appear as labeled series.
 	snap := db.Metrics()
-	if got := snap.Counters[`tenant_queries|tenant=alice`]; got != 2 {
+	if got := snap.Labeled.Counters[tenantQueries("alice")]; got != 2 {
 		t.Errorf("alice tenant_queries = %d, want 2", got)
 	}
-	if got := snap.Counters[`tenant_queries|tenant=bob`]; got != 1 {
+	if got := snap.Labeled.Counters[tenantQueries("bob")]; got != 1 {
 		t.Errorf("bob tenant_queries = %d, want 1", got)
 	}
 
@@ -76,7 +75,7 @@ func TestTenantScopedQueries(t *testing.T) {
 		tcq.EstimateOptions{Quota: 5 * time.Second, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Metrics().Counters[`tenant_queries|tenant=bob`]; got != 3 {
+	if got := db.Metrics().Labeled.Counters[tenantQueries("bob")]; got != 3 {
 		t.Errorf("bob tenant_queries after SQL = %d, want 3", got)
 	}
 
@@ -84,9 +83,14 @@ func TestTenantScopedQueries(t *testing.T) {
 	if _, err := db.Tenant("").CountEstimate(q, opts); err != nil {
 		t.Fatal(err)
 	}
-	for k := range db.Metrics().Counters {
-		if strings.HasPrefix(k, "tenant_queries|tenant=|") || k == "tenant_queries|tenant=" {
-			t.Errorf("empty tenant leaked a labeled counter: %q", k)
+	for k := range db.Metrics().Labeled.Counters {
+		if k.Name == "tenant_queries" && k.Label.Value == "" {
+			t.Errorf("empty tenant leaked a labeled counter: %v", k)
 		}
 	}
+}
+
+// tenantQueries is the per-tenant query counter's series key.
+func tenantQueries(tenant string) tcq.MetricKey {
+	return tcq.MetricKey{Name: "tenant_queries", Label: tcq.MetricLabel{Key: "tenant", Value: tenant}}
 }

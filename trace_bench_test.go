@@ -43,15 +43,19 @@ func benchCountEstimate(b *testing.B, collect bool, extra ...tcq.Option) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := db.CountEstimate(q, tcq.EstimateOptions{
-			Quota:        10 * time.Second,
-			Seed:         int64(i + 1),
-			CollectTrace: collect,
+		var col *trace.Collector
+		if collect {
+			col = trace.NewCollector()
+		}
+		_, err := db.CountEstimate(q, tcq.EstimateOptions{
+			Quota:  10 * time.Second,
+			Seed:   int64(i + 1),
+			Tracer: col,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if collect && est.Trace == nil {
+		if collect && len(col.Trace().Stages) == 0 {
 			b.Fatal("trace not collected")
 		}
 	}
